@@ -55,9 +55,9 @@
 #include "src/obs/jsonlite.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/registry/archive.hpp"
-#include "src/registry/registry.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace {
 
@@ -68,6 +68,7 @@ using hpcp::bench::BenchCase;
 using hpcp::bench::run_case;
 using hpcp::serve::ServeOptions;
 using hpcp::serve::Server;
+namespace fixture = hpcp::serve::fixture;
 
 /// One canonical predict request line for a parameter row.
 std::string predict_line(std::size_t id, std::span<const double> params,
@@ -83,32 +84,14 @@ std::string predict_line(std::size_t id, std::span<const double> params,
   return line;
 }
 
-std::unique_ptr<Server> make_server(const TwoLevelModel& model,
-                                    ServeOptions opts) {
-  auto server = std::make_unique<Server>(opts);
-  server->set_model(model, "bench-in-process");
-  return server;
-}
-
-/// Runs the whole replay through one server configuration and returns the
-/// response byte stream.
-std::string run_replay(const TwoLevelModel& model, ServeOptions opts,
+/// Runs the whole replay through one server configuration over the model
+/// store at `root` and returns the response byte stream.
+std::string run_replay(const std::string& root, ServeOptions opts,
                        const std::string& replay) {
-  const auto server = make_server(model, opts);
+  const auto server = fixture::attach(root, std::move(opts));
   std::istringstream in(replay);
   std::ostringstream out;
   (void)server->run(in, out);
-  return out.str();
-}
-
-/// Same, but registry-mode: tenants resolved from the store at `root`.
-std::string run_registry_replay(const std::string& root, ServeOptions opts,
-                                const std::string& replay) {
-  Server server(opts);
-  server.attach_registry(root).value_or_throw();
-  std::istringstream in(replay);
-  std::ostringstream out;
-  (void)server.run(in, out);
   return out.str();
 }
 
@@ -166,8 +149,8 @@ std::string recv_one_line(int fd) {
 /// protocol's own {"cmd":"shutdown"}.
 class TcpBenchServer {
  public:
-  TcpBenchServer(const TwoLevelModel& model, const ServeOptions& opts) {
-    server_ = make_server(model, opts);
+  TcpBenchServer(const std::string& root, const ServeOptions& opts) {
+    server_ = fixture::attach(root, opts);
     hpcp::serve::TcpOptions tcp_opts;
     tcp_opts.bound_port = &port_;
     tcp_opts.max_connections = 64;
@@ -262,12 +245,12 @@ struct LoadLatency {
 /// and waits for its response while `loaders` neighbour connections pump
 /// the pipelined load stream in a loop — the p50/p99 a well-behaved
 /// client sees when it shares the event loop with bulk replays.
-LoadLatency measure_latency_under_load(const TwoLevelModel& model,
+LoadLatency measure_latency_under_load(const std::string& root,
                                        const ServeOptions& opts,
                                        const std::vector<std::string>& probes,
                                        const std::string& load_stream,
                                        std::size_t loaders) {
-  const TcpBenchServer listener(model, opts);
+  const TcpBenchServer listener(root, opts);
   std::atomic<bool> stop{false};
   std::vector<std::thread> load_threads;
   for (std::size_t j = 0; j < loaders; ++j) {
@@ -308,7 +291,7 @@ LoadLatency measure_latency_under_load(const TwoLevelModel& model,
 /// (connections x threads x cache) configuration, each connection's TCP
 /// response stream must equal the sequential Server replay of that
 /// connection's lines. Returns false (and prints) on the first mismatch.
-bool verify_concurrent_identity(const TwoLevelModel& model,
+bool verify_concurrent_identity(const std::string& root,
                                 const std::vector<std::string>& lines) {
   for (const std::size_t conns : {std::size_t{1}, std::size_t{4},
                                   std::size_t{16}}) {
@@ -317,7 +300,7 @@ bool verify_concurrent_identity(const TwoLevelModel& model,
     // replaying each connection's lines in order.
     std::vector<std::string> reference(conns);
     {
-      const auto seq = make_server(model, {});
+      const auto seq = fixture::attach(root);
       for (std::size_t j = 0; j < conns; ++j) {
         std::istringstream in(streams[j]);
         std::string line;
@@ -332,7 +315,7 @@ bool verify_concurrent_identity(const TwoLevelModel& model,
         ServeOptions opts;
         opts.threads = threads;
         if (!cache) opts.cache_entries = 0;
-        const TcpBenchServer listener(model, opts);
+        const TcpBenchServer listener(root, opts);
         const auto per_conn = run_tcp_replay(listener.port(), streams);
         for (std::size_t j = 0; j < conns; ++j) {
           if (per_conn[j] != reference[j]) {
@@ -517,6 +500,10 @@ int main(int argc, char** argv) {
     Rng rng(42);
     model.fit_checked(exp.problem, rng, {}).value_or_throw();
   }
+  // The server serves only from a model store: every case below that
+  // serves this one model runs against this one-tenant store.
+  const std::string model_store =
+      fixture::write_store({{hpcp::registry::kDefaultTenant, &model}});
 
   // The replay: a fixed, seedless mix of distinct configurations (train
   // rows round-robin) and exact repeats (cache hits), over three scale
@@ -544,12 +531,12 @@ int main(int argc, char** argv) {
   {
     const hpcp::bench::SectionTimer timer("determinism replay x4");
     const std::string reference =
-        run_replay(model, {.threads = 1}, replay);
+        run_replay(model_store, {.threads = 1}, replay);
     const bool ok =
-        run_replay(model, {.threads = 8}, replay) == reference &&
-        run_replay(model, {.threads = 8, .cache_entries = 0}, replay) ==
+        run_replay(model_store, {.threads = 8}, replay) == reference &&
+        run_replay(model_store, {.threads = 8, .cache_entries = 0}, replay) ==
             reference &&
-        run_replay(model, {.threads = 8, .batch_max = 1}, replay) ==
+        run_replay(model_store, {.threads = 8, .batch_max = 1}, replay) ==
             reference;
     if (!ok) {
       std::fprintf(stderr,
@@ -585,8 +572,8 @@ int main(int argc, char** argv) {
   {
     const hpcp::bench::SectionTimer timer("overload determinism replay x2");
     byte_identical_overload =
-        run_replay(model, overload_opts, replay) ==
-        run_replay(model, overload_opts, replay);
+        run_replay(model_store, overload_opts, replay) ==
+        run_replay(model_store, overload_opts, replay);
     if (!byte_identical_overload) {
       std::fprintf(stderr,
                    "FATAL: overload replay responses differ between runs — "
@@ -597,19 +584,19 @@ int main(int argc, char** argv) {
 
   std::vector<BenchCase> cases;
   cases.push_back(run_case("replay_t1", reps, [&] {
-    (void)run_replay(model, {.threads = 1}, replay);
+    (void)run_replay(model_store, {.threads = 1}, replay);
   }));
   cases.push_back(run_case("replay_t8", reps, [&] {
-    (void)run_replay(model, {.threads = 8}, replay);
+    (void)run_replay(model_store, {.threads = 8}, replay);
   }));
   cases.push_back(run_case("replay_t8_nocache", reps, [&] {
-    (void)run_replay(model, {.threads = 8, .cache_entries = 0}, replay);
+    (void)run_replay(model_store, {.threads = 8, .cache_entries = 0}, replay);
   }));
   cases.push_back(run_case("replay_overload", reps, [&] {
-    (void)run_replay(model, overload_opts, replay);
+    (void)run_replay(model_store, overload_opts, replay);
   }));
   cases.push_back(run_case("replay_deadline", reps, [&] {
-    (void)run_replay(model, deadline_opts(), replay);
+    (void)run_replay(model_store, deadline_opts(), replay);
   }));
 
   // Registry cold start: the same fitted model published once as a legacy
@@ -647,15 +634,16 @@ int main(int argc, char** argv) {
   // resolution + pool churn, not just prediction. Byte identity across
   // worker count and residency budget first: eviction pressure must never
   // reach response bytes.
-  const std::string store_root = (bench_dir / "store").string();
+  std::string store_root;
   {
     const hpcp::bench::SectionTimer timer("publish 16-tenant store");
-    auto reg = hpcp::registry::Registry::open(store_root).value_or_throw();
+    fixture::TenantModels tenants;
     for (int t = 0; t < 16; ++t) {
       char tenant[16];
       std::snprintf(tenant, sizeof(tenant), "tenant-%02d", t);
-      (void)reg.add_model(tenant, model).value_or_throw();
+      tenants.emplace_back(tenant, &model);
     }
+    store_root = fixture::write_store(tenants);
   }
   std::string registry_replay;
   for (std::size_t i = 0; i < replay_lines.size(); ++i) {
@@ -675,15 +663,15 @@ int main(int argc, char** argv) {
     reg_opts.threads = 1;
     reg_opts.max_resident_models = 4;
     const std::string reference =
-        run_registry_replay(store_root, reg_opts, registry_replay);
+        run_replay(store_root, reg_opts, registry_replay);
     reg_opts.threads = 8;
     byte_identical_registry =
-        run_registry_replay(store_root, reg_opts, registry_replay) ==
+        run_replay(store_root, reg_opts, registry_replay) ==
         reference;
     reg_opts.max_resident_models = 16;
     byte_identical_registry =
         byte_identical_registry &&
-        run_registry_replay(store_root, reg_opts, registry_replay) ==
+        run_replay(store_root, reg_opts, registry_replay) ==
             reference;
     if (!byte_identical_registry) {
       std::fprintf(stderr,
@@ -697,7 +685,7 @@ int main(int argc, char** argv) {
     ServeOptions reg_opts;
     reg_opts.threads = 8;
     reg_opts.max_resident_models = 4;
-    (void)run_registry_replay(store_root, reg_opts, registry_replay);
+    (void)run_replay(store_root, reg_opts, registry_replay);
   }));
 
   // Observability overhead: the same compute-bound nocache replay with
@@ -716,12 +704,11 @@ int main(int argc, char** argv) {
     const hpcp::bench::SectionTimer timer("observability on/off pairs");
     const bool was_enabled = hpcp::obs::metrics_enabled();
     hpcp::obs::set_metrics_enabled(false);
-    const std::string off_bytes =
-        run_replay(model, {.threads = 8, .cache_entries = 0}, replay);
+    const ServeOptions nocache{.threads = 8, .cache_entries = 0};
+    const std::string off_bytes = run_replay(model_store, nocache, replay);
     hpcp::obs::set_metrics_enabled(true);
     byte_identical_obs =
-        run_replay(model, {.threads = 8, .cache_entries = 0}, replay) ==
-        off_bytes;
+        run_replay(model_store, nocache, replay) == off_bytes;
     if (!byte_identical_obs) {
       std::fprintf(stderr,
                    "FATAL: enabling metrics changed replay response bytes\n");
@@ -734,11 +721,11 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < pairs; ++r) {
       hpcp::obs::set_metrics_enabled(false);
       const hpcp::obs::Stopwatch off_watch;
-      (void)run_replay(model, obs_opts, replay);
+      (void)run_replay(model_store, obs_opts, replay);
       offs.push_back(off_watch.seconds());
       hpcp::obs::set_metrics_enabled(true);
       const hpcp::obs::Stopwatch on_watch;
-      (void)run_replay(model, obs_opts, replay);
+      (void)run_replay(model_store, obs_opts, replay);
       ons.push_back(on_watch.seconds());
     }
     hpcp::obs::set_metrics_enabled(was_enabled);
@@ -766,7 +753,7 @@ int main(int argc, char** argv) {
         conns == 1 ? "replay_1conn"
                    : "replay_concurrent_" + std::to_string(conns) + "conn";
     cases.push_back(run_case(name, reps, [&] {
-      const TcpBenchServer listener(model, tcp_serve_opts);
+      const TcpBenchServer listener(model_store, tcp_serve_opts);
       (void)run_tcp_replay(listener.port(), streams);
     }));
   }
@@ -782,7 +769,8 @@ int main(int argc, char** argv) {
     const std::vector<std::string> head(replay_lines.begin(),
                                         replay_lines.begin() +
                                             static_cast<std::ptrdiff_t>(subset));
-    byte_identical_concurrent = verify_concurrent_identity(model, head);
+    byte_identical_concurrent =
+        verify_concurrent_identity(model_store, head);
     if (!byte_identical_concurrent) {
       std::fprintf(stderr,
                    "FATAL: concurrent replay responses differ from the "
@@ -794,7 +782,7 @@ int main(int argc, char** argv) {
 
   // Latency: the same distinct requests served cold (first touch, full
   // compute) and hot (every (params, scale) already cached).
-  const auto latency_server = make_server(model, {});
+  const auto latency_server = fixture::attach(model_store);
   const Latency cold = measure_latency(*latency_server, distinct_lines);
   const Latency hot = measure_latency(*latency_server, distinct_lines);
   std::printf("latency: cold p50=%.1fus p95=%.1fus | hit p50=%.1fus "
@@ -815,7 +803,7 @@ int main(int argc, char** argv) {
     }
     std::vector<std::string> probes = distinct_lines;
     probes.insert(probes.end(), distinct_lines.begin(), distinct_lines.end());
-    load4 = measure_latency_under_load(model, tcp_serve_opts, probes,
+    load4 = measure_latency_under_load(model_store, tcp_serve_opts, probes,
                                        load_stream, /*loaders=*/3);
   }
   std::printf("latency under load4: p50=%.1fus p99=%.1fus\n", load4.p50_us,
@@ -823,7 +811,7 @@ int main(int argc, char** argv) {
 
   // Continuous-learning loop. Append cost: the experiment's own run
   // records streamed through the in-protocol {"cmd":"ingest"} path of a
-  // registry-mode server — parse + validate + fsync'd log append + ack per
+  // server — parse + validate + fsync'd log append + ack per
   // line. Retrain cost: a cold candidate fit of the resulting log vs the
   // warm refit that reuses the cold fit's split structure, the exact pair
   // the background scheduler alternates between once a tenant's warm chain
@@ -832,17 +820,9 @@ int main(int argc, char** argv) {
   {
     const hpcp::bench::SectionTimer timer(
         "ingest appends + warm/cold candidate fits");
-    const std::string ingest_root = (bench_dir / "ingest_store").string();
-    std::filesystem::remove_all(ingest_root);
-    {
-      auto reg =
-          hpcp::registry::Registry::open(ingest_root).value_or_throw();
-      (void)reg.add_model("default", model).value_or_throw();
-    }
-    ServeOptions ingest_opts;
-    ingest_opts.threads = 1;
-    Server ingest_server(ingest_opts);
-    ingest_server.attach_registry(ingest_root).value_or_throw();
+    const std::string ingest_root =
+        fixture::write_store({{hpcp::registry::kDefaultTenant, &model}});
+    const auto ingest_server = fixture::attach(ingest_root, {.threads = 1});
     std::vector<std::string> ingest_lines;
     for (const auto& rec : exp.history.records()) {
       std::string line = "{\"cmd\":\"ingest\",\"run_id\":" +
@@ -857,7 +837,7 @@ int main(int argc, char** argv) {
       line += '}';
       ingest_lines.push_back(std::move(line));
     }
-    ingest_lat = measure_latency(ingest_server, ingest_lines);
+    ingest_lat = measure_latency(*ingest_server, ingest_lines);
     std::printf("ingest append: %zu records, p50=%.1fus p95=%.1fus\n",
                 ingest_lines.size(), ingest_lat.p50_us, ingest_lat.p95_us);
 

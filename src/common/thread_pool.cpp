@@ -26,6 +26,11 @@ ThreadPool::ThreadPool(std::size_t threads, std::string worker_name_prefix) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  // Workers name themselves in the tracer, possibly after the program has
+  // started exiting. Constructing it here, before any worker runs, makes
+  // it outlive this pool even when the pool is a function-local static
+  // (statics are destroyed in reverse order of construction).
+  (void)obs::Tracer::instance();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i, worker_name_prefix] {

@@ -69,7 +69,7 @@ class Parser {
       case 'n':
         if (!consume_literal("null")) fail(pos_, "bad literal");
         return JsonValue();
-      default: return JsonValue(parse_number());
+      default: return parse_number();
     }
   }
 
@@ -179,7 +179,7 @@ class Parser {
     }
   }
 
-  double parse_number() {
+  JsonValue parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     auto digits = [&] {
@@ -202,8 +202,9 @@ class Parser {
       }
       if (!digits()) fail(pos_, "expected exponent digits");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return std::strtod(token.c_str(), nullptr);
+    std::string token(text_.substr(start, pos_ - start));
+    const double value = std::strtod(token.c_str(), nullptr);
+    return JsonValue(value, std::move(token));
   }
 
   std::string_view text_;
@@ -224,6 +225,11 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   if (kind_ != Kind::Number) kind_error("number");
   return num_;
+}
+
+const std::string& JsonValue::number_token() const {
+  if (kind_ != Kind::Number) kind_error("number");
+  return str_;
 }
 
 const std::string& JsonValue::as_string() const {

@@ -26,6 +26,10 @@ class JsonValue {
   JsonValue() = default;
   explicit JsonValue(bool b) : kind_(Kind::Bool), bool_(b) {}
   explicit JsonValue(double n) : kind_(Kind::Number), num_(n) {}
+  /// A parsed number that also keeps its source token, so a reader can
+  /// echo it byte for byte (number_token()).
+  JsonValue(double n, std::string token)
+      : kind_(Kind::Number), num_(n), str_(std::move(token)) {}
   explicit JsonValue(std::string s)
       : kind_(Kind::String), str_(std::move(s)) {}
   explicit JsonValue(JsonArray a)
@@ -41,6 +45,9 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
+  /// The number's token as it appeared in the parsed text; empty for a
+  /// number built in memory. Throws on a kind mismatch.
+  [[nodiscard]] const std::string& number_token() const;
   [[nodiscard]] const JsonArray& as_array() const;
   [[nodiscard]] const JsonObject& as_object() const;
 

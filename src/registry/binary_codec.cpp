@@ -146,7 +146,8 @@ std::vector<double> BinaryDeserializer::read_doubles() {
   std::vector<double> v(static_cast<std::size_t>(n));
   if constexpr (std::endian::native == std::endian::little) {
     const unsigned char* p = take(v.size() * sizeof(double));
-    std::memcpy(v.data(), p, v.size() * sizeof(double));
+    // memcpy from/to the null data() of an empty vector is undefined.
+    if (!v.empty()) std::memcpy(v.data(), p, v.size() * sizeof(double));
   } else {
     for (auto& x : v) x = read_double();
   }

@@ -133,10 +133,9 @@ Expected<std::shared_ptr<const ResidentModel>> ModelPool::acquire(
 }
 
 Expected<std::uint64_t> ModelPool::reload(const std::string& tenant) {
-  if (!registry_.has_tenant(tenant)) {
-    // The registry may have gained the tenant since the last scan.
-    (void)registry_.rescan();
-  }
+  // Pick up tenants and versions published since the last scan (e.g. by
+  // `hpcpredict_cli registry add` in another process).
+  (void)registry_.rescan();
   if (!registry_.has_tenant(tenant)) {
     return Error{ErrorCode::BadData, "unknown tenant", tenant};
   }

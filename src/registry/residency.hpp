@@ -27,8 +27,7 @@
 ///
 /// Per-tenant epoch swap: `reload(tenant)` loads the registry's latest
 /// archive *fully* before swapping the resident entry, so readers see
-/// either the old model or the new one, never a torn state — the
-/// per-tenant generalization of the server's SIGHUP snapshot swap. A
+/// either the old model or the new one, never a torn state. A
 /// failed load (missing/corrupt archive) keeps the old resident model
 /// serving, records the failure in that tenant's stats, and degrades only
 /// that tenant; every other tenant is structurally unaffected.
@@ -95,10 +94,12 @@ class ModelPool {
   [[nodiscard]] Expected<std::shared_ptr<const ResidentModel>> acquire(
       const std::string& tenant);
 
-  /// Epoch swap to the registry's latest version: the new archive is
-  /// loaded fully, then swapped in; in-flight pins keep the old model
-  /// alive. On failure the old resident model (if any) keeps serving and
-  /// only this tenant is degraded. Returns the new resident version.
+  /// Epoch swap to the latest version on disk (the store is rescanned
+  /// first, so versions other processes published are picked up): the
+  /// new archive is loaded fully, then swapped in; in-flight pins keep the
+  /// old model alive. On failure the old resident model (if any) keeps
+  /// serving and only this tenant is degraded. Returns the new resident
+  /// version.
   [[nodiscard]] Expected<std::uint64_t> reload(const std::string& tenant);
 
   /// Reloads every currently resident tenant (the SIGHUP path).

@@ -23,11 +23,9 @@
 /// Tenant id and model version are part of the key *by construction*, not
 /// by convention: a reload (version bump) or a tenant switch can never
 /// serve a stale hit even if nobody remembers to clear() — the old
-/// entries simply stop matching and age out of the LRU. The single-model
-/// server still clears on install (keeping its hit/miss accounting
-/// byte-stable), but correctness no longer depends on it; the multi-tenant
-/// registry path relies on the keyed isolation alone, so one tenant's
-/// reload does not flush every other tenant's working set.
+/// entries simply stop matching and age out of the LRU. The server relies
+/// on the keyed isolation alone, so one tenant's reload does not flush
+/// every other tenant's working set.
 ///
 /// Caching is value-transparent by construction: the stored value is the
 /// exact double the batched prediction path produced, and per-row
@@ -60,7 +58,7 @@ class PredictionCache {
 
   /// The cached prediction for (tenant, version, params, scale),
   /// refreshing its LRU position; nullopt on a miss. Counts a hit or a
-  /// miss. `tenant` is "" for the single-model server.
+  /// miss.
   [[nodiscard]] std::optional<double> lookup(std::string_view tenant,
                                              std::uint64_t model_version,
                                              std::span<const double> params,

@@ -18,14 +18,15 @@ bool fail(ErrorInfo* err, std::string code, std::string message) {
 }
 
 /// `id` may be a string or a number; anything else is a protocol error.
+/// A numeric id is echoed as its original token: reformatting through a
+/// double would turn 100000 into 1e+05 and lose digits above 2^53.
 bool render_id(const JsonValue& v, std::string* out, ErrorInfo* err) {
   if (v.kind() == JsonValue::Kind::String) {
     *out = obs::json_quote(v.as_string());
     return true;
   }
   if (v.kind() == JsonValue::Kind::Number) {
-    out->clear();
-    obs::json_number_into(*out, v.as_number());
+    *out = v.number_token();
     return true;
   }
   return fail(err, "bad-request", "id must be a string or a number");

@@ -17,8 +17,8 @@
 ///   {"id":"q2","model":"tenant-a","params":[256,8]}       predict, named tenant
 ///   {"cmd":"ping"}                                        liveness probe
 ///   {"cmd":"health"}                                      readiness probe
-///   {"cmd":"reload"} / {"cmd":"reload","model":"m.txt"}   hot model reload
-///   {"cmd":"reload","tenant":"tenant-a"}                  registry tenant reload
+///   {"cmd":"reload"}                                      rescan, reload residents
+///   {"cmd":"reload","tenant":"tenant-a"}                  one tenant's hot swap
 ///   {"cmd":"stats"}                                       hpcp-stats/1 snapshot
 ///   {"cmd":"trace-dump","path":"t.json"}                  live Chrome-trace dump
 ///   {"cmd":"ingest","model":"t","params":[256,8],
@@ -27,12 +27,13 @@
 ///   {"cmd":"shutdown"}                                    stop the server
 ///
 /// `ingest` appends one measured run to the named tenant's run log
-/// (registry mode only; `model` absent = the default tenant, `run_id`
-/// optional) and acks without touching the predict path. `retrain` runs
-/// the shadow-gated retrain synchronously and reports the verdict.
+/// (`model` absent = the default tenant, `run_id` optional) and acks
+/// without touching the predict path. `retrain` runs the shadow-gated
+/// retrain synchronously and reports the verdict.
 ///
-/// `id` (string or number) is echoed verbatim on the response. `params`
-/// are the model's training parameter columns, in history-schema order.
+/// `id` (string or number) is echoed verbatim on the response (a number
+/// as its original token). `params` are the model's training parameter
+/// columns, in history-schema order.
 /// `scales` are the process counts to predict at; omitted means the
 /// model's trained target scales, and an explicitly *empty* list is a
 /// protocol error. Responses carry `"ok"` plus either the payload and
@@ -54,10 +55,9 @@ inline constexpr const char* kErrOverloaded = "overloaded";   ///< queue full, r
 inline constexpr const char* kErrDegraded = "degraded";       ///< cache-only mode, miss rejected
 inline constexpr const char* kErrDeadline = "deadline";       ///< request deadline expired
 
-/// Registry-mode error: the request named a tenant the registry does not
-/// know (or named any tenant on a single-model server). Unlike the codes
-/// above this is NOT a degraded response — it is a pure function of the
-/// request and the store, so it participates in the byte-identity
+/// The request named a tenant the model store does not know. Unlike the
+/// codes above this is NOT a degraded response — it is a pure function of
+/// the request and the store, so it participates in the byte-identity
 /// contract like any other request-shaped error.
 inline constexpr const char* kErrUnknownModel = "unknown-model";
 
@@ -81,13 +81,14 @@ struct Request {
   std::string id_json;
   std::vector<double> params;       ///< predict only
   std::vector<std::size_t> scales;  ///< predict only; empty = model targets
-  /// reload: the archive to load (empty = original path). trace-dump: the
-  /// output file for the Chrome-trace snapshot (required).
+  /// reload: the `model` field, which the server rejects (reload by path
+  /// is not supported). trace-dump: the output file for the Chrome-trace
+  /// snapshot (required).
   std::string model_path;
   /// predict: the `model` field — which registry tenant to serve from
-  /// (empty = the default tenant, or the single configured model).
-  /// reload: the `tenant` field — which tenant to reload (registry mode;
-  /// empty = the single model / every resident tenant per server policy).
+  /// (empty = the default tenant).
+  /// reload: the `tenant` field — which tenant to reload (empty = every
+  /// resident tenant).
   /// ingest / retrain: the `model` field — which tenant's run log.
   std::string tenant;
   /// ingest only: the measured run (process count, wall-clock seconds,

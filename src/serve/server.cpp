@@ -4,7 +4,6 @@
 #include <chrono>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "src/linear/matrix.hpp"
@@ -97,28 +96,6 @@ std::uint64_t Server::now_ms() const {
           .count());
 }
 
-bool Server::degraded() const noexcept {
-  return degraded_saturated_ ||
-         (opts_.degraded_reload_streak > 0 &&
-          reload_failure_streak_ >= opts_.degraded_reload_streak);
-}
-
-std::shared_ptr<const Server::Snapshot> Server::snapshot() const {
-  const std::lock_guard lock(snapshot_mutex_);
-  return snapshot_;
-}
-
-void Server::install(Snapshot snap) {
-  auto shared = std::make_shared<const Snapshot>(std::move(snap));
-  {
-    const std::lock_guard lock(snapshot_mutex_);
-    snapshot_ = std::move(shared);
-  }
-  // Cached values belong to the previous model; a stale hit would break
-  // the "response = f(request, model_version)" contract.
-  cache_.clear();
-}
-
 Expected<void> Server::attach_registry(const std::string& root) {
   auto reg = registry::Registry::open(root);
   if (!reg) return reg.error();
@@ -131,101 +108,27 @@ Expected<void> Server::attach_registry(const std::string& root) {
   iopts.retrain_records = opts_.retrain_records;
   iopts.retrain_interval_ms = opts_.retrain_interval_ms;
   ingest_ = std::make_unique<ingest::IngestScheduler>(*model_pool_, iopts);
-  obs::gauge_set("serve.registry_mode", 1.0);
   return {};
-}
-
-Expected<void> Server::load_model_file(const std::string& path) {
-  const obs::Span span("serve.reload", path);
-  auto loaded = TwoLevelModel::load_file_checked(path);
-  if (!loaded) {
-    obs::count("serve.reload_failures");
-    return loaded.error();
-  }
-  Snapshot snap;
-  snap.model = std::move(*loaded);
-  snap.version = model_version() + 1;
-  snap.source_path = path;
-  snap.default_scales = snap.model.extrapolation().target_scales();
-  snap.num_features = snap.model.interpolation().num_features();
-  install(std::move(snap));
-  obs::count("serve.reloads");
-  return {};
-}
-
-Expected<void> Server::try_reload(const std::string& path) {
-  auto result = load_model_file(path);
-  if (result) {
-    reload_failure_streak_ = 0;
-    reload_backoff_ms_ = 0;
-    reload_retry_pending_ = false;
-    obs::gauge_set("serve.reload_backoff_ms", 0.0);
-  } else {
-    ++reload_failure_streak_;
-    // Capped exponential backoff: a torn archive or unavailable path is
-    // retried at 1s, 2s, 4s, ... up to the cap, instead of being dropped
-    // on the floor after one attempt. The old model serves throughout.
-    reload_backoff_ms_ =
-        reload_backoff_ms_ == 0
-            ? opts_.reload_backoff_initial_ms
-            : std::min(opts_.reload_backoff_max_ms, reload_backoff_ms_ * 2);
-    reload_retry_at_ms_ = now_ms() + reload_backoff_ms_;
-    reload_retry_path_ = path;
-    reload_retry_pending_ = opts_.reload_backoff_initial_ms > 0;
-    obs::gauge_set("serve.reload_backoff_ms",
-                   static_cast<double>(reload_backoff_ms_));
-  }
-  obs::gauge_set("serve.degraded", degraded() ? 1.0 : 0.0);
-  return result;
 }
 
 void Server::poll_reloads() {
-  // The ingest pump rides the same between-batches hook as reloads: it
-  // completes finished background retrains (judge / publish / epoch-swap)
-  // and fires due triggers. Out-of-band like SIGHUP — no response lines,
-  // so replayed request streams stay aligned with their responses.
+  // Once per window: the ingest pump completes finished background
+  // retrains (judge / publish / epoch-swap) and fires due triggers.
+  // Out-of-band like SIGHUP — no response lines, so replayed request
+  // streams stay aligned with their responses.
   if (ingest_ != nullptr) {
     for (const std::string& tenant : ingest_->pump(now_ms())) {
       (void)tenant;
       obs::count("serve.ingest_promotions");
     }
   }
-  if (reload_flag().exchange(false)) {
-    if (model_pool_) {
-      // Registry-mode SIGHUP: pick up externally published tenants and
-      // versions, then epoch-swap every resident tenant. Per-tenant
-      // failures degrade only their tenant.
-      (void)model_pool_->refresh();
-      model_pool_->reload_all_resident();
-      return;
-    }
-    const auto snap = snapshot();
-    if (snap && !snap->source_path.empty()) {
-      // SIGHUP reload is out-of-band: it produces no response line, so
-      // replayed request streams stay aligned with their responses.
-      (void)try_reload(snap->source_path);
-    }
-    return;
+  if (reload_flag().exchange(false) && model_pool_) {
+    // SIGHUP: pick up externally published tenants and versions, then
+    // epoch-swap every resident tenant. Per-tenant failures degrade only
+    // their tenant.
+    (void)model_pool_->refresh();
+    model_pool_->reload_all_resident();
   }
-  if (reload_retry_pending_ && now_ms() >= reload_retry_at_ms_) {
-    obs::count("serve.reload_retries");
-    (void)try_reload(reload_retry_path_);
-  }
-}
-
-void Server::set_model(TwoLevelModel model, std::string source_path) {
-  Snapshot snap;
-  snap.version = model_version() + 1;
-  snap.source_path = std::move(source_path);
-  snap.default_scales = model.extrapolation().target_scales();
-  snap.num_features = model.interpolation().num_features();
-  snap.model = std::move(model);
-  install(std::move(snap));
-}
-
-std::uint64_t Server::model_version() const {
-  const auto snap = snapshot();
-  return snap ? snap->version : 0;
 }
 
 std::optional<Request> Server::enqueue(const std::string& line,
@@ -234,8 +137,7 @@ std::optional<Request> Server::enqueue(const std::string& line,
   ErrorInfo err;
   if (!parse_request(line, &pending.req, &err)) {
     pending.trace.code = err.code;
-    pending.response =
-        render_error(pending.req.id_json, model_version(), err);
+    pending.response = render_error(pending.req.id_json, 0, err);
     batch->push_back(std::move(pending));
     return std::nullopt;
   }
@@ -263,7 +165,7 @@ std::optional<Request> Server::enqueue(const std::string& line,
     roll_sheds_.add(now_ms());
     pending.trace.code = kErrOverloaded;
     pending.response = render_error(
-        pending.req.id_json, model_version(),
+        pending.req.id_json, 0,
         {kErrOverloaded,
          "request queue full (max_pending=" +
              std::to_string(opts_.max_pending) + "), request shed",
@@ -272,7 +174,7 @@ std::optional<Request> Server::enqueue(const std::string& line,
     shed_streak_ = 0;
     if (degraded_saturated_) {
       degraded_saturated_ = false;
-      obs::gauge_set("serve.degraded", degraded() ? 1.0 : 0.0);
+      obs::gauge_set("serve.degraded", 0.0);
     }
     pending.admitted = true;
     pending.trace.id = ++next_request_id_;
@@ -293,8 +195,6 @@ void Server::resolve(std::vector<Pending>* batch) {
       std::count_if(batch->begin(), batch->end(),
                     [](const Pending& p) { return p.admitted; }));
 
-  const auto snap = snapshot();
-  const std::uint64_t version = snap ? snap->version : 0;
   const bool cache_only = degraded();
   const std::uint64_t flush_now =
       opts_.request_deadline_ms > 0 ? now_ms() : 0;
@@ -305,17 +205,17 @@ void Server::resolve(std::vector<Pending>* batch) {
 
   // Resolve every request to either a rendered error, a full cache hit,
   // or a row of the batched compute. All serially, in request order, so
-  // cache hit/miss accounting, LRU movement, and (in registry mode)
-  // residency loads/evictions are deterministic.
+  // cache hit/miss accounting, LRU movement, and residency
+  // loads/evictions are deterministic.
   struct Slot {
     std::vector<std::size_t> scales;
     std::vector<double> predictions;
     bool compute = false;
     const TwoLevelModel* model = nullptr;
     std::uint64_t version = 0;   ///< per-row model version (cache key)
-    std::string tenant;          ///< cache key; "" = single-model mode
-    /// Registry mode: the residency pin — holds the resident model alive
-    /// for the whole flush even if the pool evicts it mid-window.
+    std::string tenant;          ///< cache key
+    /// The residency pin: holds the resident model alive for the whole
+    /// flush even if the pool evicts it mid-window.
     std::shared_ptr<const registry::ResidentModel> pin;
   };
   std::vector<Slot> slots(batch->size());
@@ -332,66 +232,46 @@ void Server::resolve(std::vector<Pending>* batch) {
       obs::count("serve.deadline_expired");
       p.trace.code = kErrDeadline;
       p.response = render_error(
-          p.req.id_json, version,
+          p.req.id_json, 0,
           {kErrDeadline,
            "request deadline (" +
                std::to_string(opts_.request_deadline_ms) +
                "ms) expired before the response was produced"});
       continue;
     }
-    Slot& slot = slots[i];
-    if (model_pool_) {
-      // Registry mode: resolve the request's tenant ("model" field,
-      // absent = default) to a resident model, loading on a residency
-      // miss. A failed load is a typed error for this request only —
-      // every other tenant in the window is structurally unaffected.
-      slot.tenant = p.req.tenant.empty() ? registry::kDefaultTenant
-                                         : p.req.tenant;
-      if (!model_pool_->known(slot.tenant)) {
-        p.trace.code = kErrUnknownModel;
-        p.response = render_error(
-            p.req.id_json, 0,
-            {kErrUnknownModel,
-             "unknown model \"" + slot.tenant + "\": no such tenant in "
-             "the registry"});
-        continue;
-      }
-      auto acquired = model_pool_->acquire(slot.tenant);
-      if (!acquired) {
-        const std::string code = error_code_name(acquired.error().code);
-        p.trace.code = code;
-        p.response = render_error(p.req.id_json, 0,
-                                  {code, acquired.error().to_string()});
-        continue;
-      }
-      slot.pin = std::move(*acquired);
-      slot.model = &slot.pin->model;
-      slot.version = slot.pin->version;
-    } else {
-      if (!p.req.tenant.empty()) {
-        // Named-model requests need a registry behind the server; a
-        // single-model server knows no tenant names at all.
-        p.trace.code = kErrUnknownModel;
-        p.response = render_error(
-            p.req.id_json, version,
-            {kErrUnknownModel,
-             "unknown model \"" + p.req.tenant +
-                 "\": server is not running against a registry"});
-        continue;
-      }
-      if (!snap) {
-        p.trace.code = "unavailable";
-        p.response = render_error(
-            p.req.id_json, version,
-            {"unavailable", "no model loaded"});
-        continue;
-      }
-      slot.model = &snap->model;
-      slot.version = version;
+    if (!model_pool_) {
+      p.trace.code = "unavailable";
+      p.response = render_error(p.req.id_json, 0,
+                                {"unavailable", "no model store attached"});
+      continue;
     }
-    const std::size_t num_features = model_pool_
-                                         ? slot.pin->num_features
-                                         : snap->num_features;
+    // Resolve the request's tenant ("model" field, absent = default) to a
+    // resident model, loading on a residency miss. A failed load is a
+    // typed error for this request only — every other tenant in the
+    // window is structurally unaffected.
+    Slot& slot = slots[i];
+    slot.tenant =
+        p.req.tenant.empty() ? registry::kDefaultTenant : p.req.tenant;
+    if (!model_pool_->known(slot.tenant)) {
+      p.trace.code = kErrUnknownModel;
+      p.response = render_error(
+          p.req.id_json, 0,
+          {kErrUnknownModel, "unknown model \"" + slot.tenant +
+                                 "\": no such tenant in the registry"});
+      continue;
+    }
+    auto acquired = model_pool_->acquire(slot.tenant);
+    if (!acquired) {
+      const std::string code = error_code_name(acquired.error().code);
+      p.trace.code = code;
+      p.response = render_error(p.req.id_json, 0,
+                                {code, acquired.error().to_string()});
+      continue;
+    }
+    slot.pin = std::move(*acquired);
+    slot.model = &slot.pin->model;
+    slot.version = slot.pin->version;
+    const std::size_t num_features = slot.pin->num_features;
     if (p.req.params.size() != num_features) {
       p.trace.code = "bad-request";
       p.response = render_error(
@@ -402,10 +282,8 @@ void Server::resolve(std::vector<Pending>* batch) {
                std::to_string(num_features)});
       continue;
     }
-    slot.scales = p.req.scales.empty()
-                      ? (model_pool_ ? slot.pin->default_scales
-                                     : snap->default_scales)
-                      : p.req.scales;
+    slot.scales =
+        p.req.scales.empty() ? slot.pin->default_scales : p.req.scales;
     slot.predictions.resize(slot.scales.size());
     bool all_hit = cache_.enabled();
     for (std::size_t s = 0; all_hit && s < slot.scales.size(); ++s) {
@@ -445,9 +323,7 @@ void Server::resolve(std::vector<Pending>* batch) {
   if (!compute_rows.empty()) {
     const obs::Span compute_span("serve.batch_compute");
     // Group miss rows by resolved model, first-appearance order: one
-    // batched level-1 call per distinct model in the window. A
-    // single-model window (every non-registry server) is exactly one
-    // group, i.e. the classic path, byte for byte.
+    // batched level-1 call per distinct model in the window.
     std::vector<const TwoLevelModel*> group_models;
     std::vector<std::vector<std::size_t>> groups;
     for (const std::size_t row : compute_rows) {
@@ -521,19 +397,6 @@ void Server::resolve(std::vector<Pending>* batch) {
   }
 }
 
-void Server::flush(std::vector<Pending>* batch, std::ostream& out) {
-  if (batch->empty()) return;
-  resolve(batch);
-  for (const Pending& p : *batch) out << p.response << '\n';
-  out.flush();
-  // The stream loop's transport is the ostream: a successful flush is the
-  // closest analogue of "bytes left the process".
-  for (const Pending& p : *batch) {
-    if (p.trace.id != 0) note_write_drained(p.trace.id);
-  }
-  batch->clear();
-}
-
 Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
   poll_reloads();
   BatchOutcome result;
@@ -560,7 +423,7 @@ Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
       Pending pending;
       pending.trace.code = kErrTooLarge;
       pending.response = render_error(
-          "", model_version(),
+          "", 0,
           {kErrTooLarge,
            "request line exceeds max_line_bytes=" +
                std::to_string(opts_.max_line_bytes) + "; line discarded"});
@@ -571,8 +434,8 @@ Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
     } else {
       auto control = enqueue(line.text, &batch);
       if (control.has_value()) {
-        // A control command observes everything admitted before it, just
-        // like the stream loop: flush first, then answer.
+        // A control command observes everything admitted before it:
+        // flush first, then answer.
         flush_into();
         result.responses[i] = handle_control(*control);
         if (control->cmd == Request::Cmd::kShutdown) {
@@ -594,7 +457,6 @@ Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
 }
 
 std::string Server::handle_control(const Request& req) {
-  const std::uint64_t version = model_version();
   const auto prefix = [&req](const char* cmd) {
     std::string out = "{";
     if (!req.id_json.empty()) {
@@ -607,15 +469,24 @@ std::string Server::handle_control(const Request& req) {
     out += "\"";
     return out;
   };
+  const auto fail = [this, &req](const std::string& code,
+                                 const std::string& message) {
+    note_response(code);
+    return render_error(req.id_json, 0, {code, message});
+  };
+  const bool needs_store = req.cmd == Request::Cmd::kReload ||
+                           req.cmd == Request::Cmd::kIngest ||
+                           req.cmd == Request::Cmd::kRetrain;
+  if (needs_store && model_pool_ == nullptr) {
+    return fail("unavailable", "no model store attached");
+  }
   switch (req.cmd) {
     case Request::Cmd::kPing: {
       note_response("ok");
       std::string out = prefix("ping");
       out += ",\"schema\":\"";
       out += kProtocolSchema;
-      out += "\",\"model_version\":";
-      out += std::to_string(version);
-      out += '}';
+      out += "\",\"model_version\":0}";
       return out;
     }
     case Request::Cmd::kHealth: {
@@ -624,81 +495,39 @@ std::string Server::handle_control(const Request& req) {
     }
     case Request::Cmd::kReload: {
       const obs::Span span("serve.cmd_reload");
-      if (model_pool_) {
-        if (!req.model_path.empty()) {
-          note_response("bad-request");
-          return render_error(
-              req.id_json, version,
-              {"bad-request",
-               "reload by path is not available in registry mode; use "
-               "{\"cmd\":\"reload\",\"tenant\":...}"});
+      if (!req.model_path.empty()) {
+        return fail("bad-request",
+                    "reload by path is not supported; publish the archive "
+                    "with `hpcpredict_cli registry add`, then send "
+                    "{\"cmd\":\"reload\",\"tenant\":...}");
+      }
+      if (!req.tenant.empty()) {
+        // One tenant's epoch swap; failure degrades only that tenant
+        // (the old resident epoch, if any, keeps serving).
+        auto result = model_pool_->reload(req.tenant);
+        if (!result) {
+          return fail(model_pool_->known(req.tenant)
+                          ? std::string(error_code_name(result.error().code))
+                          : std::string(kErrUnknownModel),
+                      result.error().to_string());
         }
-        if (!req.tenant.empty()) {
-          // One tenant's epoch swap; failure degrades only that tenant
-          // (the old resident epoch, if any, keeps serving).
-          auto result = model_pool_->reload(req.tenant);
-          if (!result) {
-            const std::string code =
-                model_pool_->known(req.tenant)
-                    ? std::string(error_code_name(result.error().code))
-                    : std::string(kErrUnknownModel);
-            note_response(code);
-            return render_error(req.id_json, version,
-                                {code, result.error().to_string()});
-          }
-          note_response("ok");
-          std::string out = prefix("reload");
-          out += ",\"tenant\":";
-          out += obs::json_quote(req.tenant);
-          out += ",\"model_version\":";
-          out += std::to_string(*result);
-          out += '}';
-          return out;
-        }
-        // Tenant-less reload: pick up externally published archives, then
-        // epoch-swap every resident tenant.
-        (void)model_pool_->refresh();
-        model_pool_->reload_all_resident();
         note_response("ok");
         std::string out = prefix("reload");
-        out += ",\"registry\":true,\"resident\":";
-        out += std::to_string(model_pool_->resident_count());
+        out += ",\"tenant\":";
+        out += obs::json_quote(req.tenant);
+        out += ",\"model_version\":";
+        out += std::to_string(*result);
         out += '}';
         return out;
       }
-      if (!req.tenant.empty()) {
-        note_response(kErrUnknownModel);
-        return render_error(
-            req.id_json, version,
-            {kErrUnknownModel,
-             "tenant reload requires registry mode (serve --registry)"});
-      }
-      std::string path = req.model_path;
-      if (path.empty()) {
-        const auto snap = snapshot();
-        if (snap) path = snap->source_path;
-      }
-      if (path.empty()) {
-        note_response("bad-request");
-        return render_error(req.id_json, version,
-                            {"bad-request", "no model path to reload"});
-      }
-      const auto result = try_reload(path);
-      if (!result) {
-        // The old snapshot is untouched: requests keep being answered by
-        // the model that was live before the failed reload, and
-        // poll_reloads retries on the backoff schedule.
-        note_response(error_code_name(result.error().code));
-        return render_error(req.id_json, version,
-                            {error_code_name(result.error().code),
-                             result.error().to_string()});
-      }
+      // Tenant-less reload: pick up externally published archives, then
+      // epoch-swap every resident tenant.
+      (void)model_pool_->refresh();
+      model_pool_->reload_all_resident();
       note_response("ok");
       std::string out = prefix("reload");
-      out += ",\"model_version\":";
-      out += std::to_string(model_version());
-      out += ",\"model\":";
-      out += obs::json_quote(path);
+      out += ",\"registry\":true,\"resident\":";
+      out += std::to_string(model_pool_->resident_count());
       out += '}';
       return out;
     }
@@ -717,17 +546,12 @@ std::string Server::handle_control(const Request& req) {
     }
     case Request::Cmd::kTraceDump: {
       if (req.model_path.empty()) {
-        note_response("bad-request");
-        return render_error(
-            req.id_json, version,
-            {"bad-request", "trace-dump requires a \"path\" to write to"});
+        return fail("bad-request",
+                    "trace-dump requires a \"path\" to write to");
       }
       const auto events = obs::Tracer::instance().snapshot();
       if (!obs::Tracer::instance().write_chrome_json(req.model_path)) {
-        note_response("io");
-        return render_error(
-            req.id_json, version,
-            {"io", "cannot write trace to " + req.model_path});
+        return fail("io", "cannot write trace to " + req.model_path);
       }
       note_response("ok");
       std::string out = prefix("trace-dump");
@@ -746,16 +570,6 @@ std::string Server::handle_control(const Request& req) {
     }
     case Request::Cmd::kIngest: {
       const obs::Span span("serve.cmd_ingest");
-      if (ingest_ == nullptr) {
-        // A single-model server has no registry to promote into and no
-        // tenant namespace; the rejection is a pure function of the
-        // request, so it participates in byte-identity like unknown-model.
-        note_response(kErrUnknownModel);
-        return render_error(
-            req.id_json, version,
-            {kErrUnknownModel,
-             "ingest requires registry mode (serve --registry)"});
-      }
       const std::string tenant =
           req.tenant.empty() ? registry::kDefaultTenant : req.tenant;
       ExecutionRecord record;
@@ -765,10 +579,8 @@ std::string Server::handle_control(const Request& req) {
       record.run_id = req.run_id;
       auto appended = ingest_->append(tenant, record);
       if (!appended) {
-        const std::string code = error_code_name(appended.error().code);
-        note_response(code);
-        return render_error(req.id_json, version,
-                            {code, appended.error().to_string()});
+        return fail(error_code_name(appended.error().code),
+                    appended.error().to_string());
       }
       note_response("ok");
       std::string out = prefix("ingest");
@@ -781,21 +593,12 @@ std::string Server::handle_control(const Request& req) {
     }
     case Request::Cmd::kRetrain: {
       const obs::Span span("serve.cmd_retrain");
-      if (ingest_ == nullptr) {
-        note_response(kErrUnknownModel);
-        return render_error(
-            req.id_json, version,
-            {kErrUnknownModel,
-             "retrain requires registry mode (serve --registry)"});
-      }
       const std::string tenant =
           req.tenant.empty() ? registry::kDefaultTenant : req.tenant;
       auto outcome = ingest_->retrain_now(tenant);
       if (!outcome) {
-        const std::string code = error_code_name(outcome.error().code);
-        note_response(code);
-        return render_error(req.id_json, version,
-                            {code, outcome.error().to_string()});
+        return fail(error_code_name(outcome.error().code),
+                    outcome.error().to_string());
       }
       note_response("ok");
       std::string out = prefix("retrain");
@@ -831,24 +634,21 @@ std::string Server::handle_control(const Request& req) {
     case Request::Cmd::kPredict:
       break;  // never routed here
   }
-  note_response("bad-request");
-  return render_error(req.id_json, version,
-                      {"bad-request", "unroutable command"});
+  return fail("bad-request", "unroutable command");
+}
+
+const char* Server::status() const {
+  // "ok" serves everything, "degraded" serves cache hits only,
+  // "unavailable" has no model store at all. An attached but empty store
+  // is "ok": requests then fail per-tenant, not globally.
+  if (model_pool_ == nullptr) return "unavailable";
+  return degraded() ? "degraded" : "ok";
 }
 
 std::string Server::health_json(const std::string& id_json) const {
   // The readiness probe a load balancer or watchdog polls: liveness plus
-  // *mode*. "ok" serves everything, "degraded" serves cache hits only,
-  // "unavailable" has no model at all. Every field is a pure function of
-  // the request stream and the injectable clock, so probe responses are
-  // byte-stable under replay.
-  const auto snap = snapshot();
-  // Registry mode has no single snapshot: readiness is the pool's (the
-  // store may be empty — requests then fail per-tenant, not globally).
-  const char* status =
-      model_pool_ ? (degraded() ? "degraded" : "ok")
-                  : (!snap ? "unavailable"
-                           : (degraded() ? "degraded" : "ok"));
+  // *mode*. Every field is a pure function of the request stream and the
+  // injectable clock, so probe responses are byte-stable under replay.
   std::string out = "{";
   if (!id_json.empty()) {
     out += "\"id\":";
@@ -857,10 +657,8 @@ std::string Server::health_json(const std::string& id_json) const {
   }
   out += "\"ok\":true,\"cmd\":\"health\",\"schema\":\"";
   out += kProtocolSchema;
-  out += "\",\"model_version\":";
-  out += std::to_string(snap ? snap->version : 0);
-  out += ",\"status\":\"";
-  out += status;
+  out += "\",\"model_version\":0,\"status\":\"";
+  out += status();
   out += "\",\"uptime_ms\":";
   out += std::to_string(uptime_ms());
   out += ",\"max_pending\":";
@@ -871,13 +669,11 @@ std::string Server::health_json(const std::string& id_json) const {
   out += std::to_string(too_large_);
   out += ",\"deadline_expired\":";
   out += std::to_string(deadline_expired_);
-  out += ",\"reload_failure_streak\":";
-  out += std::to_string(reload_failure_streak_);
   out += ",\"responses\":";
   append_code_counters(out);
-  if (model_pool_) append_registry_block(out);
-  if (ingest_) append_ingest_block(out);
-  if ((!model_pool_ && !snap) || degraded()) {
+  append_registry_block(out);
+  append_ingest_block(out);
+  if (model_pool_ == nullptr || degraded()) {
     out += ",\"retry_after_ms\":";
     out += std::to_string(opts_.retry_after_ms);
   }
@@ -887,69 +683,48 @@ std::string Server::health_json(const std::string& id_json) const {
 
 bool Server::run(std::istream& in, std::ostream& out) {
   const obs::Span span("serve.session");
-  std::vector<Pending> batch;
-  std::string line;
-  for (;;) {
-    poll_reloads();
-    const LineRead status =
-        read_line_bounded(in, &line, opts_.max_line_bytes);
-    if (status == LineRead::kEof) break;
-    if (status == LineRead::kTooLong) {
-      ++too_large_;
-      obs::count("serve.too_large");
-      Pending pending;
-      pending.trace.code = kErrTooLarge;
-      pending.response = render_error(
-          "", model_version(),
-          {kErrTooLarge,
-           "request line exceeds max_line_bytes=" +
-               std::to_string(opts_.max_line_bytes) + "; line discarded"});
-      batch.push_back(std::move(pending));
-    } else {
-      if (is_blank(line)) continue;
-      auto control = enqueue(line, &batch);
-      if (control.has_value()) {
-        flush(&batch, out);
-        out << handle_control(*control) << '\n';
-        out.flush();
-        if (control->cmd == Request::Cmd::kShutdown) return true;
-        if (!out) return false;
-        continue;
+  std::vector<BatchLine> window;
+  for (bool eof = false; !eof;) {
+    // A window ends at batch_max lines, or as soon as the input would
+    // block — an interactive client gets its answer now, a replayed
+    // burst batches.
+    window.clear();
+    while (window.size() < opts_.batch_max) {
+      BatchLine line;
+      const LineRead status =
+          read_line_bounded(in, &line.text, opts_.max_line_bytes);
+      if (status == LineRead::kEof) {
+        eof = true;
+        break;
       }
+      line.too_long = status == LineRead::kTooLong;
+      window.push_back(std::move(line));
+      if (in.rdbuf()->in_avail() <= 0) break;
     }
-    // Flush when the batch is full, or as soon as the input would block —
-    // an interactive client gets its answer now, a replayed burst batches.
-    if (batch.size() >= opts_.batch_max || in.rdbuf()->in_avail() <= 0) {
-      flush(&batch, out);
-      // A dead output stream means the client is gone (EPIPE, timeout):
-      // stop spending compute on responses nobody will read.
-      if (!out) return false;
+    if (window.empty()) break;
+    const BatchOutcome outcome = handle_batch(window);
+    for (const std::string& response : outcome.responses) {
+      if (!response.empty()) out << response << '\n';
     }
+    out.flush();
+    // The ostream is this transport: a successful flush is the closest
+    // analogue of "bytes left the process".
+    for (const std::uint64_t id : outcome.request_ids) {
+      note_write_drained(id);
+    }
+    if (outcome.shutdown) return true;
+    // A dead output stream means the client is gone (EPIPE, timeout):
+    // stop spending compute on responses nobody will read.
+    if (!out) return false;
   }
-  flush(&batch, out);
   return false;
 }
 
 std::string Server::handle_line(const std::string& line) {
-  if (line.size() > opts_.max_line_bytes) {
-    ++too_large_;
-    obs::count("serve.too_large");
-    note_response(kErrTooLarge);
-    return render_error(
-        "", model_version(),
-        {kErrTooLarge,
-         "request line exceeds max_line_bytes=" +
-             std::to_string(opts_.max_line_bytes) + "; line discarded"});
-  }
-  if (is_blank(line)) return "";
-  std::vector<Pending> batch;
-  auto control = enqueue(line, &batch);
-  if (control.has_value()) return handle_control(*control);
-  std::ostringstream rendered;
-  flush(&batch, rendered);
-  std::string response = rendered.str();
-  if (!response.empty() && response.back() == '\n') response.pop_back();
-  return response;
+  BatchLine one;
+  one.too_long = line.size() > opts_.max_line_bytes;
+  if (!one.too_long) one.text = line;
+  return std::move(handle_batch({&one, 1}).responses.front());
 }
 
 std::uint64_t Server::uptime_ms() const {
@@ -980,6 +755,7 @@ void Server::append_registry_block(std::string& out) const {
   // Pool totals plus per-tenant counters, sorted by tenant name (the
   // pool's stats() is already sorted) — byte-stable under replay because
   // every counter is driven serially from the serving thread.
+  if (model_pool_ == nullptr) return;
   out += ",\"registry\":{\"resident\":";
   out += std::to_string(model_pool_->resident_count());
   out += ",\"resident_bytes\":";
@@ -1023,6 +799,7 @@ void Server::append_ingest_block(std::string& out) const {
   // purpose: the log is the durable account, and session-local counters
   // keep replayed response streams byte-identical even when two runs
   // share a store.
+  if (ingest_ == nullptr) return;
   const ingest::IngestScheduler::Totals totals = ingest_->totals();
   out += ",\"ingest\":{\"appended\":";
   out += std::to_string(totals.appended);
@@ -1113,18 +890,10 @@ std::vector<Server::RequestTrace> Server::slow_log() const {
 
 std::string Server::render_stats_json() const {
   const std::uint64_t now = now_ms();
-  const auto snap = snapshot();
-  const char* status =
-      model_pool_ ? (degraded() ? "degraded" : "ok")
-                  : (!snap ? "unavailable"
-                           : (degraded() ? "degraded" : "ok"));
-
   std::string out = "{\"schema\":\"hpcp-stats/1\",\"uptime_ms\":";
   out += std::to_string(now > start_ms_ ? now - start_ms_ : 0);
-  out += ",\"model_version\":";
-  out += std::to_string(snap ? snap->version : 0);
-  out += ",\"status\":\"";
-  out += status;
+  out += ",\"model_version\":0,\"status\":\"";
+  out += status();
   out += "\",\"requests\":";
   out += std::to_string(requests_served_);
   out += ",\"queue_depth\":";
@@ -1163,8 +932,8 @@ std::string Server::render_stats_json() const {
   out += std::to_string(degraded_rejects_);
   out += ",\"responses\":";
   append_code_counters(out);
-  if (model_pool_) append_registry_block(out);
-  if (ingest_) append_ingest_block(out);
+  append_registry_block(out);
+  append_ingest_block(out);
 
   // 1s / 10s / 60s trailing windows over the rolling rings. Latency
   // quantiles are reported as the upper edge of the containing histogram

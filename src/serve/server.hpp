@@ -7,7 +7,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,70 +22,62 @@
 #include "src/serve/protocol.hpp"
 
 /// \file server.hpp (serve)
-/// The long-lived prediction server behind `hpcpredict_cli serve`: loads a
-/// model archive once, then answers `hpcp-serve/1` request lines
-/// (protocol.hpp) until EOF or a shutdown command.
+/// The long-lived prediction server behind `hpcpredict_cli serve`. It
+/// fronts a registry::ModelPool over an on-disk model store
+/// (attach_registry) and answers `hpcp-serve/1` request lines
+/// (protocol.hpp). A predict request's optional "model" field names the
+/// tenant to serve from (absent = "default"); until a store is attached
+/// every predict gets a typed "unavailable" error.
 ///
-/// Request flow: lines are read with a hard byte bound (an over-long line
-/// is discarded and answered with a typed "too-large" error, never
-/// buffered without limit), micro-batched (up to `batch_max`, flushed
-/// early whenever the input would block so interactive clients never wait
-/// on a timer), each batch resolves cache hits, runs the misses through
-/// one batched InterpolationLevel::predict_curves call, fans the per-row
-/// level-2 evaluation out over the worker pool, then renders responses
-/// serially in request order.
+/// Request flow: handle_batch is the one request path. A transport hands
+/// it a window of lines — the epoll front-end (tcp.hpp) every ready
+/// connection's lines, run() the stdio lines read so far — and it
+/// micro-batches them (up to `batch_max`; a control command flushes what
+/// was admitted before it). Each batch resolves every request to its
+/// tenant's resident model and the prediction cache, runs the misses
+/// through one batched InterpolationLevel::predict_curves call per
+/// distinct model, fans the per-row level-2 evaluation out over the
+/// worker pool, then renders responses serially in request order.
 ///
 /// Failure model (DESIGN.md "Failure model & degraded modes"):
+///   - Bounded lines: a line over `max_line_bytes` is discarded by the
+///     transport and answered with a typed "too-large" error, never
+///     buffered without limit.
 ///   - Admission control: at most `max_pending` admitted-but-unanswered
-///     predict requests; overflow is shed immediately with a typed
-///     "overloaded" error carrying a retry_after_ms hint. Shedding is a
-///     pure function of the request stream and options, so it is as
+///     predict requests per batch; overflow is shed immediately with a
+///     typed "overloaded" error carrying a retry_after_ms hint. Shedding
+///     is a pure function of the request stream and options, so it is as
 ///     replayable as everything else.
 ///   - Deadlines: with `request_deadline_ms` set, a request still
 ///     unanswered when its deadline passes is answered with a typed
 ///     "deadline" error instead of stale data. The clock is injectable
 ///     (`clock_ms`) so deadline behaviour is testable without wall time.
-///   - Degraded cache-only mode: entered when reloads keep failing
-///     (`degraded_reload_streak` consecutive failures) or admission stays
-///     saturated (`degraded_shed_streak` consecutive sheds). While
-///     degraded, cache hits are served normally and misses get a typed
-///     "degraded" error; a successful reload or relieved queue exits the
-///     mode. {"cmd":"health"} reports the current mode and counters.
-///   - Reload retry: a failed reload (SIGHUP or {"cmd":"reload"}) is
-///     retried with capped exponential backoff
-///     (`reload_backoff_initial_ms` doubling up to
-///     `reload_backoff_max_ms`) instead of being dropped; the old model
-///     keeps serving throughout.
+///   - Degraded cache-only mode: entered when admission stays saturated
+///     (`degraded_shed_streak` consecutive sheds). While degraded, cache
+///     hits are served normally and misses get a typed "degraded" error;
+///     the first admitted request exits the mode.
+///   - Per-tenant blast radius: a tenant whose archive fails to load
+///     degrades only that tenant (typed error; the pool keeps any old
+///     resident epoch serving, health reports its load_failures and
+///     last_error).
 ///
 /// Determinism contract: the *non-degraded* response byte stream is
-/// identical for any worker count and any cache configuration — per-row
-/// predictions are independent of batch composition, cached values are the
-/// exact doubles the batched path produced, rendering is canonical
-/// (jsonlite writers), and all merges/inserts happen serially in request
-/// order. Degraded responses (overloaded / degraded / deadline /
-/// too-large) depend on the resilience options and injected clock by
-/// design and are exempt.
+/// identical for any worker count, cache configuration, resident-model
+/// budget and window shape — per-row predictions are independent of batch
+/// composition, cached values are the exact doubles the batched path
+/// produced, rendering is canonical (jsonlite writers), and all cache
+/// inserts and residency loads happen serially in request order. An
+/// interleaved multi-tenant stream is byte-identical to serving each
+/// tenant from its own one-tenant store. Degraded responses (overloaded /
+/// degraded / deadline / too-large) depend on the resilience options and
+/// injected clock by design and are exempt.
 ///
-/// Hot reload: SIGHUP (via reload_flag()) or {"cmd":"reload"} swaps in a
-/// freshly loaded snapshot atomically — in-flight batches finish on the
-/// old shared_ptr snapshot, so no request ever sees a torn model — bumps
-/// the advertised model_version, and clears the prediction cache. A failed
-/// reload (missing/corrupt/torn archive) reports a typed error, leaves the
-/// old model serving, and schedules a backoff retry.
-///
-/// Registry mode (attach_registry): instead of one fixed model the server
-/// fronts a registry::ModelPool — a predict request's optional "model"
-/// field names the tenant to serve from (absent = "default"), resolved
-/// per request against the LRU of resident models. Batches still share
-/// micro-batch windows across tenants; the compute step groups rows by
-/// resolved model, one batched level-1 call per distinct model, and every
-/// cache insert stays serial in request order, so the response stream is
-/// byte-identical to serving each tenant from its own single-model server.
-/// A tenant whose archive fails to load degrades only that tenant (typed
-/// error; pool keeps any old resident epoch serving); {"cmd":"reload",
-/// "tenant":T} swaps one tenant, a tenant-less reload (or SIGHUP)
-/// rescans the store and reloads every resident tenant. health/stats gain
-/// a "registry" block with per-tenant counters.
+/// Hot swap: publish a new version into the store, then {"cmd":"reload",
+/// "tenant":T} epoch-swaps that tenant (in-flight batches finish on the
+/// old pinned model, so no request sees a torn one). A tenant-less reload
+/// or SIGHUP (reload_flag()) rescans the store and reloads every resident
+/// tenant. health/stats carry a "registry" block with per-tenant counters
+/// and an "ingest" block for the continuous-learning loop.
 
 namespace hpcp::serve {
 
@@ -116,22 +107,15 @@ struct ServeOptions {
   /// Per-request deadline in milliseconds; 0 disables (default). Checked
   /// at flush time against the injectable clock.
   std::uint64_t request_deadline_ms = 0;
-  /// Consecutive reload failures that flip the server into degraded
-  /// cache-only mode.
-  std::size_t degraded_reload_streak = 3;
   /// Consecutive shed admissions that flip the server into degraded
   /// cache-only mode (relieved as soon as an admission succeeds).
   std::size_t degraded_shed_streak = 1024;
-  /// Backoff schedule for automatic reload retries after a failure:
-  /// initial, then doubling, capped.
-  std::uint64_t reload_backoff_initial_ms = 1000;
-  std::uint64_t reload_backoff_max_ms = 30000;
-  /// Registry mode (attach_registry): resident-model LRU caps forwarded
-  /// to the ModelPool — count cap and byte budget (0 = unlimited bytes).
+  /// Resident-model LRU caps forwarded to the ModelPool — count cap and
+  /// byte budget (0 = unlimited bytes).
   std::size_t max_resident_models = 4;
   std::uint64_t max_resident_bytes = 0;
-  /// Continuous-learning triggers, forwarded to the IngestScheduler
-  /// (registry mode only). `retrain_records` run records since the last
+  /// Continuous-learning triggers, forwarded to the IngestScheduler.
+  /// `retrain_records` run records since the last
   /// attempt fire a background retrain; `retrain_interval_ms` retrains any
   /// tenant with new data on a wall-clock cadence. Both default off —
   /// {"cmd":"retrain"} always works regardless.
@@ -143,63 +127,47 @@ struct ServeOptions {
 };
 
 /// Process-wide asynchronous reload request, safe to set from a SIGHUP
-/// handler (lock-free atomic store only). Server::run polls and clears it
-/// between batches and reloads from the current model's source path.
+/// handler (lock-free atomic store only). The server polls and clears it
+/// between windows, then rescans the store and reloads every resident
+/// tenant.
 [[nodiscard]] std::atomic<bool>& reload_flag() noexcept;
 
 class Server {
  public:
   explicit Server(ServeOptions opts = {});
 
-  /// Loads (or hot-reloads) the model from `path`. On success the new
-  /// snapshot is installed, model_version is bumped, and the cache is
-  /// cleared; on failure (Io / BadData) the previous model keeps serving.
-  [[nodiscard]] Expected<void> load_model_file(const std::string& path);
-
-  /// Installs an in-process model (tests, benches). `source_path` is what
-  /// a later {"cmd":"reload"} without an explicit path will re-read.
-  void set_model(TwoLevelModel model, std::string source_path);
-
-  /// Switches the server to registry mode: opens (or creates) the model
-  /// store at `root` and builds the resident-model pool under the
-  /// max_resident_models / max_resident_bytes options. Mutually exclusive
-  /// with the single-model snapshot in practice (the CLI enforces
-  /// --model XOR --registry); loading is lazy, so attaching an empty
+  /// Opens (or creates) the model store at `root` and builds the
+  /// resident-model pool under the max_resident_models /
+  /// max_resident_bytes options. Loading is lazy, so attaching an empty
   /// store succeeds and requests fail per-tenant until models appear.
   [[nodiscard]] Expected<void> attach_registry(const std::string& root);
 
-  /// True once attach_registry succeeded.
-  [[nodiscard]] bool registry_mode() const noexcept {
-    return model_pool_ != nullptr;
-  }
-  /// The resident-model pool (nullptr outside registry mode).
+  /// The resident-model pool (nullptr until attach_registry succeeds).
   [[nodiscard]] registry::ModelPool* model_pool() noexcept {
     return model_pool_.get();
   }
-  /// The continuous-learning scheduler (nullptr outside registry mode).
-  /// Serving-thread confined, like the pool it feeds.
+  /// The continuous-learning scheduler (nullptr until attach_registry
+  /// succeeds). Serving-thread confined, like the pool it feeds.
   [[nodiscard]] ingest::IngestScheduler* ingest_scheduler() noexcept {
     return ingest_.get();
   }
 
-  /// 0 until the first successful load; bumped by every successful reload.
-  [[nodiscard]] std::uint64_t model_version() const;
-
-  /// Serves request lines from `in` until EOF, a dead output stream (the
-  /// client vanished), or {"cmd":"shutdown"}; responses go to `out`, one
-  /// line per request, in request order. Returns true iff a shutdown
-  /// command ended the loop.
+  /// The stdio transport: reads bounded lines from `in` into windows of
+  /// up to batch_max lines (a window also ends as soon as the input would
+  /// block, so an interactive client never waits), serves each window
+  /// through handle_batch, and writes the responses to `out` in request
+  /// order. Stops at EOF, a dead output stream (the client vanished), or
+  /// {"cmd":"shutdown"}; returns true iff a shutdown ended the loop.
   bool run(std::istream& in, std::ostream& out);
 
-  /// Processes exactly one request line (a batch of one) and returns its
-  /// response line — byte-identical to what run() would emit. Test/bench
-  /// entry point; shutdown is acknowledged but only run() loops can stop.
+  /// handle_batch over a one-line window: returns that line's response
+  /// ("" for a blank line). Test/bench entry point; shutdown is
+  /// acknowledged but only a transport loop can stop.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
   /// One transport line submitted to handle_batch. `too_long` marks a line
   /// the transport already discarded for exceeding max_line_bytes; its
-  /// text is ignored and a typed "too-large" error is rendered, exactly as
-  /// run() does for an over-long stdio line.
+  /// text is ignored and a typed "too-large" error is rendered.
   struct BatchLine {
     std::string text;
     bool too_long = false;
@@ -224,11 +192,10 @@ class Server {
   /// transport: the epoll front-end drains every ready connection into a
   /// single call, so requests from different connections share micro-
   /// batches (chunked at batch_max) and one batched predict_curves call
-  /// serves the whole flush window. Admission, control handling, and
-  /// response bytes are identical to feeding the same lines through
-  /// run() — position in the window is the only thing that matters, so
-  /// per-connection response order and byte-identity are preserved no
-  /// matter how many connections contributed.
+  /// serves the whole flush window. Position in the window is the only
+  /// thing that matters, so per-connection response order and
+  /// byte-identity are preserved no matter how many connections
+  /// contributed.
   [[nodiscard]] BatchOutcome handle_batch(std::span<const BatchLine> lines);
 
   [[nodiscard]] const ServeOptions& options() const noexcept {
@@ -242,13 +209,8 @@ class Server {
     return requests_served_;
   }
 
-  /// Currently in degraded cache-only mode (reload failures or admission
-  /// saturation)?
-  [[nodiscard]] bool degraded() const noexcept;
-  /// Consecutive failed reloads since the last success.
-  [[nodiscard]] std::uint64_t reload_failure_streak() const noexcept {
-    return reload_failure_streak_;
-  }
+  /// Currently in degraded cache-only mode (admission saturation)?
+  [[nodiscard]] bool degraded() const noexcept { return degraded_saturated_; }
   /// Requests shed by admission control since start.
   [[nodiscard]] std::uint64_t sheds() const noexcept { return sheds_; }
   /// Over-long lines rejected since start.
@@ -310,15 +272,6 @@ class Server {
   [[nodiscard]] std::uint64_t uptime_ms() const;
 
  private:
-  /// Immutable view of one loaded model; swapped wholesale on reload.
-  struct Snapshot {
-    TwoLevelModel model;
-    std::uint64_t version = 0;
-    std::string source_path;
-    std::vector<std::size_t> default_scales;
-    std::size_t num_features = 0;
-  };
-
   /// One request line waiting in the current micro-batch.
   struct Pending {
     Request req;
@@ -329,16 +282,10 @@ class Server {
     RequestTrace trace;    ///< id != 0 once admitted; code set when rendered
   };
 
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
-  void install(Snapshot snap);
-
   /// Monotonic milliseconds from opts_.clock_ms or steady_clock.
   [[nodiscard]] std::uint64_t now_ms() const;
 
-  /// Reload `path`, tracking the failure streak and scheduling a capped
-  /// exponential backoff retry on failure.
-  Expected<void> try_reload(const std::string& path);
-  /// SIGHUP flag and due backoff retries; called between batches.
+  /// Ingest pump and the SIGHUP flag; called once per window.
   void poll_reloads();
 
   /// Parses a line into the batch, or returns the control request (ping /
@@ -348,15 +295,14 @@ class Server {
       const std::string& line, std::vector<Pending>* batch);
 
   /// Predicts + renders every pending request in order: after resolve()
-  /// every Pending carries its final response line. Shared by the stream
-  /// loop (flush) and the window entry point (handle_batch).
+  /// every Pending carries its final response line.
   void resolve(std::vector<Pending>* batch);
-
-  /// resolve() + emit to `out`, one line per request, then clear.
-  void flush(std::vector<Pending>* batch, std::ostream& out);
 
   /// Ping / health / reload / stats / trace-dump / shutdown responses.
   [[nodiscard]] std::string handle_control(const Request& req);
+
+  /// "ok", "degraded" or "unavailable" (no store attached yet).
+  [[nodiscard]] const char* status() const;
 
   /// Health body shared by the control path and GET /healthz; `id_json`
   /// is prepended when non-empty.
@@ -365,12 +311,12 @@ class Server {
   /// Renders responses_by_code_ as a JSON object (keys sorted — std::map).
   void append_code_counters(std::string& out) const;
 
-  /// Registry mode only: appends `,"registry":{...}` with pool totals and
-  /// sorted per-tenant counters to a health/stats body.
+  /// Appends `,"registry":{...}` with pool totals and sorted per-tenant
+  /// counters to a health/stats body (once a store is attached).
   void append_registry_block(std::string& out) const;
 
-  /// Registry mode only: appends `,"ingest":{...}` with the scheduler's
-  /// session totals and sorted per-tenant verdict state.
+  /// Appends `,"ingest":{...}` with the scheduler's session totals and
+  /// sorted per-tenant verdict state (once a store is attached).
   void append_ingest_block(std::string& out) const;
 
   /// Bumps the per-code response counter ("ok" or an error code); every
@@ -384,24 +330,16 @@ class Server {
   std::unique_ptr<ThreadPool> own_pool_;  ///< when opts_.threads >= 1
   ThreadPool* pool_ = nullptr;            ///< nullptr = global pool
   PredictionCache cache_;
-  /// Registry mode: the resident-model LRU (serving-thread confined,
-  /// like the resilience state). nullptr = classic single-model server.
+  /// The resident-model LRU (serving-thread confined, like the
+  /// resilience state). nullptr until attach_registry succeeds.
   std::unique_ptr<registry::ModelPool> model_pool_;
-  /// Registry mode: the continuous-learning loop (append / retrain /
-  /// shadow-gated promote). Pumped between batches alongside reloads.
+  /// The continuous-learning loop (append / retrain / shadow-gated
+  /// promote). Pumped once per window alongside the SIGHUP flag.
   std::unique_ptr<ingest::IngestScheduler> ingest_;
-
-  mutable std::mutex snapshot_mutex_;
-  std::shared_ptr<const Snapshot> snapshot_;
 
   std::uint64_t requests_served_ = 0;
 
   // Resilience state (all touched only from the serving thread).
-  std::uint64_t reload_failure_streak_ = 0;
-  std::uint64_t reload_backoff_ms_ = 0;
-  std::uint64_t reload_retry_at_ms_ = 0;
-  std::string reload_retry_path_;
-  bool reload_retry_pending_ = false;
   std::uint64_t shed_streak_ = 0;
   bool degraded_saturated_ = false;
   std::uint64_t sheds_ = 0;

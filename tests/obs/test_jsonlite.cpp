@@ -17,6 +17,7 @@ TEST(Jsonlite, ParsesScalars) {
   EXPECT_FALSE(parse_json("false").as_bool());
   EXPECT_DOUBLE_EQ(parse_json("42").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(parse_json("-1.5e3").as_number(), -1500.0);
+  EXPECT_EQ(parse_json("-1.50e3").number_token(), "-1.50e3");
   EXPECT_EQ(parse_json("\"hi\"").as_string(), "hi");
 }
 

@@ -22,50 +22,18 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/experiment.hpp"
-#include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/serve/admin.hpp"
 #include "src/serve/faults.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
 
-struct Fixture {
-  Experiment exp;
-  TwoLevelModel model;
-};
-
-const Fixture& fixture() {
-  static const Fixture* f = [] {
-    auto* out = new Fixture;
-    ExperimentConfig cfg;
-    cfg.app_name = "minimd";
-    cfg.num_train = 60;
-    cfg.num_test = 8;
-    cfg.seed = 101;
-    out->exp = make_experiment(cfg);
-    Rng rng(2);
-    out->model.fit(out->exp.problem, rng);
-    return out;
-  }();
-  return *f;
-}
-
-std::string predict_line(std::size_t i) {
-  const auto& test = fixture().exp.test;
-  const auto row = test.configs.row(i % test.size());
-  std::string line = "{\"id\":" + std::to_string(i) + ",\"params\":[";
-  for (std::size_t d = 0; d < row.size(); ++d) {
-    if (d > 0) line += ',';
-    obs::json_number_into(line, row[d]);
-  }
-  line += "],\"scales\":[64]}";
-  return line;
-}
+using fixture::predict_line;
 
 /// Blocking loopback client with a receive timeout (same harness as the
 /// TCP front-end tests).
@@ -135,8 +103,7 @@ class Client {
 class Listener {
  public:
   explicit Listener(TcpOptions opts = {}, ServeOptions serve_opts = {}) {
-    server_ = std::make_unique<Server>(serve_opts);
-    server_->set_model(fixture().model, "");
+    server_ = fixture::default_server(serve_opts);
     opts.bound_port = &port_;
     opts.admin_port = 0;
     opts.admin_bound_port = &admin_port_;
@@ -230,7 +197,12 @@ TEST(ServeAdmin, StatszIsAParseableStatsSnapshot) {
   const obs::JsonValue doc = obs::parse_json(http_body(response));
   EXPECT_EQ(doc.at("schema").as_string(), "hpcp-stats/1");
   EXPECT_EQ(doc.at("status").as_string(), "ok");
-  EXPECT_EQ(doc.at("model_version").as_number(), 1.0);
+  // Versions are per tenant: the server-level field stays 0 and the
+  // registry block names the resident version.
+  EXPECT_EQ(doc.at("model_version").as_number(), 0.0);
+  EXPECT_EQ(doc.at("registry").at("tenants").at("default").at("version")
+                .as_number(),
+            1.0);
   EXPECT_EQ(doc.at("requests").as_number(), 2.0);
   EXPECT_EQ(doc.at("cache_hits").as_number(), 1.0);
   EXPECT_EQ(doc.at("responses").at("ok").as_number(), 2.0);
@@ -317,8 +289,7 @@ TEST(ServeAdmin, UnknownRoutesAndMethodsGetTypedStatuses) {
 }
 
 TEST(ServeAdmin, StatsCommandWrapsTheSameSnapshot) {
-  const auto server = std::make_unique<Server>();
-  server->set_model(fixture().model, "");
+  const auto server = fixture::default_server();
   (void)server->handle_line(predict_line(0));
   const std::string response =
       server->handle_line(R"({"id":7,"cmd":"stats"})");
@@ -333,8 +304,7 @@ TEST(ServeAdmin, StatsCommandWrapsTheSameSnapshot) {
 }
 
 TEST(ServeAdmin, TraceDumpSnapshotsTheRingToAFile) {
-  const auto server = std::make_unique<Server>();
-  server->set_model(fixture().model, "");
+  const auto server = fixture::default_server();
   // Without a path the command is a typed protocol error.
   EXPECT_NE(server->handle_line(R"({"cmd":"trace-dump"})")
                 .find("\"code\":\"bad-request\""),
@@ -364,8 +334,7 @@ TEST(ServeAdmin, HealthIsByteStableUnderAnInjectedClock) {
     ServeOptions opts;
     std::uint64_t t = 41000;
     opts.clock_ms = [&t] { return ++t; };
-    auto server = std::make_unique<Server>(opts);
-    server->set_model(fixture().model, "");
+    auto server = fixture::default_server(opts);
     std::string out = server->handle_line(predict_line(0));
     out += server->handle_line(R"({"id":"h","cmd":"health"})");
     return out;

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,20 +28,22 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/experiment.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
 #include "src/registry/registry.hpp"
 #include "src/serve/faults.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
 
 struct Fixture {
-  Experiment exp;
-  TwoLevelModel model;
+  /// A store holding the shared model as both "default" and "beta"
+  /// (version 1 each): fixture lines route to the default tenant, and the
+  /// tenant fault axis routes injected predict lines through both.
+  std::string store;
   std::string replay;                     ///< fault-free request stream
   std::vector<std::string> request_lines;
   /// request line -> fault-free response (pure function of the line and
@@ -53,16 +54,11 @@ struct Fixture {
 const Fixture& fixture() {
   static const Fixture* f = [] {
     auto* out = new Fixture;
-    ExperimentConfig cfg;
-    cfg.app_name = "minimd";
-    cfg.num_train = 60;
-    cfg.num_test = 8;
-    cfg.seed = 101;
-    out->exp = make_experiment(cfg);
-    Rng rng(2);
-    out->model.fit(out->exp.problem, rng);
+    const TwoLevelModel& model = fixture::trained().model;
+    out->store = fixture::write_store(
+        {{registry::kDefaultTenant, &model}, {"beta", &model}});
 
-    const auto& test = out->exp.test;
+    const auto& test = fixture::trained().exp.test;
     for (std::size_t i = 0; i < 24; ++i) {
       const auto row = test.configs.row(i % test.size());
       std::string line = "{\"id\":" + std::to_string(i) + ",\"params\":[";
@@ -78,42 +74,19 @@ const Fixture& fixture() {
       out->replay += line + '\n';
     }
 
-    Server reference_server;
-    reference_server.set_model(out->model, "");
+    const auto reference_server = fixture::attach(out->store);
     for (const auto& line : out->request_lines) {
-      out->reference[line] = reference_server.handle_line(line);
+      out->reference[line] = reference_server->handle_line(line);
     }
     return out;
   }();
   return *f;
 }
 
+/// A fresh server over the fixture store. The store is per process (the
+/// ingest scenarios append to its run logs mid-run).
 std::unique_ptr<Server> make_server(ServeOptions opts = {}) {
-  auto server = std::make_unique<Server>(opts);
-  server->set_model(fixture().model, "");
-  return server;
-}
-
-/// A registry-mode server over a store holding the fixture model as both
-/// "default" and "beta" (version 1 each). The fault-free reference map
-/// still applies: fixture lines route to the default tenant at version 1,
-/// so their responses must be byte-identical to single-model serving.
-std::unique_ptr<Server> make_registry_server(ServeOptions opts = {}) {
-  // Root is keyed by pid: ctest runs each TEST as its own process, and a
-  // parallel run must not let one process remove_all a store another is
-  // serving from (the ingest scenarios append to this store mid-run).
-  static const std::string root = [] {
-    const std::string dir = ::testing::TempDir() + "/chaos_registry_" +
-                            std::to_string(::getpid());
-    std::filesystem::remove_all(dir);
-    auto reg = registry::Registry::open(dir).value_or_throw();
-    (void)reg.add_model("default", fixture().model).value_or_throw();
-    (void)reg.add_model("beta", fixture().model).value_or_throw();
-    return dir;
-  }();
-  auto server = std::make_unique<Server>(opts);
-  server->attach_registry(root).value_or_throw();
-  return server;
+  return fixture::attach(fixture().store, std::move(opts));
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -159,12 +132,10 @@ struct ScenarioResult {
   std::size_t degraded_class = 0;
 };
 
-/// Runs one seeded scenario and checks invariants 2 and 3. With
-/// `registry` the server resolves tenants from a store (the tenant fault
-/// axis routes injected predict lines through it).
+/// Runs one seeded scenario and checks invariants 2 and 3.
 ScenarioResult run_scenario(const FaultSpec& spec,
                             const ServeOptions& opts,
-                            bool allow_deadline, bool registry = false) {
+                            bool allow_deadline) {
   const std::string delivered = capture_delivered(spec);
 
   FaultInjector injector(spec);
@@ -177,8 +148,7 @@ ScenarioResult run_scenario(const FaultSpec& spec,
   if (spec.clock_skip > 0.0) {
     run_opts.clock_ms = make_skipping_clock(&clock_injector);
   }
-  const auto server =
-      registry ? make_registry_server(run_opts) : make_server(run_opts);
+  const auto server = make_server(run_opts);
   (void)server->run(in, out);
 
   std::vector<std::string> expected;
@@ -294,13 +264,13 @@ TEST(ServeChaos, TenantRoutingScenarios) {
   // names. Every injected frame draws exactly one well-formed response
   // (the known-tenant frames a typed width error, the rest unknown-model)
   // and the surrounding fixture requests stay byte-identical to the
-  // single-model reference — routing chaos must not leak into neighbours.
+  // fault-free reference — routing chaos must not leak into neighbours.
   std::size_t matched = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     FaultSpec spec;
     spec.seed = seed;
     spec.tenant = 0.25;
-    matched += run_scenario(spec, {}, false, true).matched_reference;
+    matched += run_scenario(spec, {}, false).matched_reference;
   }
   // The tenant axis injects whole lines and drops none: every fixture
   // request answered from the reference in every scenario.
@@ -320,8 +290,7 @@ TEST(ServeChaos, TenantRoutingUnderTransportFaults) {
     spec.short_read = 0.3;
     spec.disconnect = 0.03;
     total_responses +=
-        run_scenario(spec, {.batch_max = 4, .cache_entries = 16}, false,
-                     true)
+        run_scenario(spec, {.batch_max = 4, .cache_entries = 16}, false)
             .responses;
   }
   EXPECT_GT(total_responses, 0u);
@@ -339,7 +308,7 @@ TEST(ServeChaos, IngestScenarios) {
     FaultSpec spec;
     spec.seed = seed;
     spec.ingest = 0.25;
-    matched += run_scenario(spec, {}, false, true).matched_reference;
+    matched += run_scenario(spec, {}, false).matched_reference;
   }
   // The ingest axis injects whole lines and drops none: every fixture
   // request answered from the reference in every scenario.
@@ -359,8 +328,7 @@ TEST(ServeChaos, IngestUnderTransportFaults) {
     spec.short_read = 0.3;
     spec.disconnect = 0.03;
     total_responses +=
-        run_scenario(spec, {.batch_max = 4, .cache_entries = 16}, false,
-                     true)
+        run_scenario(spec, {.batch_max = 4, .cache_entries = 16}, false)
             .responses;
   }
   EXPECT_GT(total_responses, 0u);
@@ -460,15 +428,14 @@ TEST(ServeChaos, ConcurrentConnectionFaultsStayIsolated) {
     spec.write_error = 0.01;
     FaultInjector injector(spec);
 
-    Server server;
-    server.set_model(fixture().model, "");
+    const auto server = make_server();
     TcpOptions opts;
     opts.faults = &injector;
     std::atomic<std::uint16_t> port{0};
     opts.bound_port = &port;
     std::ostringstream log;
     std::thread listener([&] {
-      const auto result = run_tcp_server(server, 0, log, opts);
+      const auto result = run_tcp_server(*server, 0, log, opts);
       EXPECT_TRUE(result.has_value()) << "seed=" << seed;
     });
     while (port.load(std::memory_order_acquire) == 0) {

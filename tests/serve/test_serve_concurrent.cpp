@@ -21,57 +21,21 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/experiment.hpp"
-#include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
 
-struct Fixture {
-  Experiment exp;
-  TwoLevelModel model;
-};
-
-const Fixture& fixture() {
-  static const Fixture* f = [] {
-    auto* out = new Fixture;
-    ExperimentConfig cfg;
-    cfg.app_name = "minimd";
-    cfg.num_train = 60;
-    cfg.num_test = 8;
-    cfg.seed = 101;
-    out->exp = make_experiment(cfg);
-    Rng rng(2);
-    out->model.fit(out->exp.problem, rng);
-    return out;
-  }();
-  return *f;
-}
-
-std::string predict_line(std::size_t i) {
-  const auto& test = fixture().exp.test;
-  const auto row = test.configs.row(i % test.size());
-  std::string line = "{\"id\":" + std::to_string(i) + ",\"params\":[";
-  for (std::size_t d = 0; d < row.size(); ++d) {
-    if (d > 0) line += ',';
-    obs::json_number_into(line, row[d]);
-  }
-  line += "],\"scales\":[64]}";
-  return line;
-}
+using fixture::predict_line;
 
 /// The sequential ground truth: responses are a pure function of
 /// (request line, model_version), so a fresh Server with the same model
 /// produces the bytes every concurrent client must see.
 std::string reference_response(const std::string& line) {
-  static Server* reference = [] {
-    auto* server = new Server;
-    server->set_model(fixture().model, "");
-    return server;
-  }();
+  static Server* reference = fixture::default_server().release();
   return reference->handle_line(line);
 }
 
@@ -148,8 +112,7 @@ class Client {
 class Listener {
  public:
   explicit Listener(TcpOptions opts = {}) {
-    server_ = std::make_unique<Server>();
-    server_->set_model(fixture().model, "");
+    server_ = fixture::default_server();
     opts.bound_port = &port_;
     thread_ = std::thread([this, opts] {
       const auto result = run_tcp_server(*server_, 0, log_, opts);

@@ -1,11 +1,11 @@
-/// Registry-mode serving determinism: an interleaved request stream over
-/// three tenants, served by one registry server under a resident-model
-/// budget smaller than the tenant count, must be byte-identical to the
-/// responses of three independent single-model servers — residency
-/// (evictions, cold reloads) and cross-tenant batching must be invisible
-/// in the bytes. Also the registry replay contract (worker count, cache
-/// config, batch bound, LRU budget all leak-free) and per-tenant blast
-/// radius: a corrupt tenant archive degrades that tenant only.
+/// Multi-tenant serving determinism: an interleaved request stream over
+/// three tenants, served by one server under a resident-model budget
+/// smaller than the tenant count, must be byte-identical to serving each
+/// tenant on its own one-tenant server — residency (evictions, cold
+/// reloads) and cross-tenant batching must be invisible in the bytes.
+/// Also the replay contract (worker count, cache config, batch bound, LRU
+/// budget all leak-free) and per-tenant blast radius: a corrupt tenant
+/// archive degrades that tenant only.
 
 #include <gtest/gtest.h>
 
@@ -19,13 +19,12 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "src/core/experiment.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
 #include "src/registry/registry.hpp"
 #include "src/serve/server.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
@@ -43,12 +42,6 @@ struct Fixture {
 const Fixture& fixture() {
   static const Fixture* f = [] {
     auto* out = new Fixture;
-    // Pid-keyed: parallel ctest runs each TEST as its own process, and
-    // this remove_all must never hit a store a sibling is serving from.
-    out->registry_root =
-        ::testing::TempDir() + "/mt_store_" + std::to_string(::getpid());
-    std::filesystem::remove_all(out->registry_root);
-    auto reg = registry::Registry::open(out->registry_root).value_or_throw();
     std::uint64_t seed = 300;
     for (const char* tenant : kTenants) {
       ExperimentConfig cfg;
@@ -60,19 +53,21 @@ const Fixture& fixture() {
       TwoLevelModel model;
       Rng rng(seed);
       model.fit(exp.problem, rng);
-      (void)reg.add_model(tenant, model).value_or_throw();
       out->models.emplace(tenant, std::move(model));
       if (std::string(tenant) == "default") out->exp = std::move(exp);
     }
+    fixture::TenantModels tenants;
+    for (const char* tenant : kTenants) {
+      tenants.emplace_back(tenant, &out->models.at(tenant));
+    }
+    out->registry_root = fixture::write_store(tenants);
     return out;
   }();
   return *f;
 }
 
 std::unique_ptr<Server> registry_server(ServeOptions opts = {}) {
-  auto server = std::make_unique<Server>(opts);
-  server->attach_registry(fixture().registry_root).value_or_throw();
-  return server;
+  return fixture::attach(fixture().registry_root, opts);
 }
 
 /// One request of the interleaved stream. `tenant` "" means the "model"
@@ -87,7 +82,7 @@ struct Item {
 };
 
 /// Renders `item` as a request line; `with_model` controls whether the
-/// "model" routing field is emitted (the single-model reference servers
+/// "model" routing field is emitted (the one-tenant reference servers
 /// must see the identical line minus routing).
 std::string render_line(const Item& item, bool with_model) {
   if (!item.control.empty()) return item.control;
@@ -183,18 +178,20 @@ TEST(ServeMultitenant, InterleavedStreamMatchesSingleModelServersByteForByte) {
   ASSERT_EQ(got.size(), items.size());
 
   for (const char* tenant : kTenants) {
-    // The single-model reference: the identical lines minus the "model"
-    // routing field, against that tenant's model alone, fresh cache.
-    Server single({.threads = 2});
-    single.set_model(fixture().models.at(tenant), "unused-path");
+    // The one-tenant reference: the identical lines minus the "model"
+    // routing field, against a store holding that tenant's model alone
+    // as "default", fresh cache.
+    const auto single = fixture::make_server(
+        {{registry::kDefaultTenant, &fixture().models.at(tenant)}},
+        {.threads = 2});
     std::size_t compared = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!routes_to(items[i], tenant)) continue;
       const std::string expect =
-          single.handle_line(render_line(items[i], false));
+          single->handle_line(render_line(items[i], false));
       EXPECT_EQ(got[i], expect)
           << "tenant " << tenant << " line " << i
-          << " diverged from its single-model server";
+          << " diverged from its one-tenant server";
       ++compared;
     }
     EXPECT_GT(compared, 30u) << tenant;
@@ -266,9 +263,7 @@ TEST(ServeMultitenant, UnknownModelIsATypedNonDegradedError) {
 
 TEST(ServeMultitenant, CorruptTenantArchiveDegradesOnlyThatTenant) {
   // A private copy of the store with one tenant's archive corrupted.
-  const std::string root = ::testing::TempDir() + "/mt_corrupt_store";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const std::string root = fixture::fresh_dir("mt_corrupt_store");
   std::filesystem::copy(fixture().registry_root, root,
                         std::filesystem::copy_options::recursive);
   {
@@ -276,14 +271,13 @@ TEST(ServeMultitenant, CorruptTenantArchiveDegradesOnlyThatTenant) {
                       std::ios::binary | std::ios::trunc);
     bad << "HPCPARC1 truncated to garbage";
   }
-  Server server;
-  server.attach_registry(root).value_or_throw();
+  const auto server = fixture::attach(root);
 
   Item item;
   item.id = 1;
   item.tenant = "beta";
   item.scales = "[64]";
-  const std::string beta = server.handle_line(render_line(item, true));
+  const std::string beta = server->handle_line(render_line(item, true));
   EXPECT_NE(beta.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(beta.find("\"code\":\"bad-data\""), std::string::npos) << beta;
 
@@ -291,12 +285,12 @@ TEST(ServeMultitenant, CorruptTenantArchiveDegradesOnlyThatTenant) {
   for (const char* tenant : {"default", "gamma"}) {
     item.id = 2;
     item.tenant = tenant;
-    const std::string response = server.handle_line(render_line(item, true));
+    const std::string response = server->handle_line(render_line(item, true));
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos)
         << tenant << ": " << response;
   }
   // Health reports the per-tenant failure without a global degrade.
-  const std::string health = server.handle_line(R"({"cmd":"health"})");
+  const std::string health = server->handle_line(R"({"cmd":"health"})");
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"load_failures\":1"), std::string::npos) << health;
   EXPECT_NE(health.find("\"last_error\""), std::string::npos) << health;

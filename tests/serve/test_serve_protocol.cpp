@@ -81,6 +81,12 @@ TEST(ServeProtocol, ScalesMustBePositiveIntegers) {
 TEST(ServeProtocol, IdIsEchoedVerbatimForStringsAndNumbers) {
   EXPECT_EQ(parse_ok(R"({"id":"q-1","params":[1]})").id_json, "\"q-1\"");
   EXPECT_EQ(parse_ok(R"({"id":17,"params":[1]})").id_json, "17");
+  // Numeric ids are echoed as their original token: never reformatted
+  // through a double (1e+05), never rounded above 2^53, never trimmed.
+  EXPECT_EQ(parse_ok(R"({"id":100000,"params":[1]})").id_json, "100000");
+  EXPECT_EQ(parse_ok(R"({"id":9007199254740993,"params":[1]})").id_json,
+            "9007199254740993");
+  EXPECT_EQ(parse_ok(R"({"id":1.50,"params":[1]})").id_json, "1.50");
   EXPECT_EQ(parse_fail(R"({"id":[1],"params":[1]})").code, "bad-request");
 }
 

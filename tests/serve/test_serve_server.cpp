@@ -1,75 +1,48 @@
 /// End-to-end Server tests: request routing, hot reload semantics (a
-/// failed reload must leave the old model serving), cache invalidation,
-/// and the serve determinism contract — one request stream must produce
-/// byte-identical responses for any worker count, cache configuration,
-/// and micro-batch bound.
+/// failed tenant reload must leave the old epoch serving), version-keyed
+/// cache invalidation, the stdio transport, and the serve determinism
+/// contract — one request stream must produce byte-identical responses
+/// for any worker count, cache configuration, and micro-batch bound, and
+/// run() must answer exactly as handle_batch does.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/core/experiment.hpp"
-#include "src/core/two_level_model.hpp"
-#include "src/obs/jsonlite.hpp"
+#include "src/registry/registry.hpp"
 #include "src/serve/server.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
 
-struct Fixture {
-  Experiment exp;
-  TwoLevelModel model;
-  std::string model_path;
+using fixture::default_server;
+using fixture::predict_line;
+using fixture::trained;
+
+/// A private one-tenant store (tests that publish new versions into it)
+/// and a server over it.
+struct PrivateStore {
+  std::string root = fixture::write_store(
+      {{registry::kDefaultTenant, &trained().model}});
+  std::unique_ptr<Server> server = fixture::attach(root);
+
+  [[nodiscard]] std::string archive(std::uint64_t version) const {
+    return (std::filesystem::path(root) / registry::kDefaultTenant /
+            (std::to_string(version) + ".hpcp"))
+        .string();
+  }
 };
 
-/// One small trained model shared by every test (fitting dominates the
-/// suite's runtime; the model itself is immutable).
-const Fixture& fixture() {
-  static const Fixture* f = [] {
-    auto* out = new Fixture;
-    ExperimentConfig cfg;
-    cfg.app_name = "minimd";
-    cfg.num_train = 60;
-    cfg.num_test = 8;
-    cfg.seed = 101;
-    out->exp = make_experiment(cfg);
-    Rng rng(2);
-    out->model.fit(out->exp.problem, rng);
-    out->model_path = ::testing::TempDir() + "/hpcp_serve_model.txt";
-    out->model.save_file(out->model_path);
-    return out;
-  }();
-  return *f;
-}
-
-/// Server owns a mutex and atomics, so it is pinned in place — tests hold
-/// it behind a unique_ptr.
-std::unique_ptr<Server> make_server(ServeOptions opts = {}) {
-  auto server = std::make_unique<Server>(opts);
-  server->set_model(fixture().model, fixture().model_path);
-  return server;
-}
-
-/// A canonical predict line for test config `i` (modulo the test set).
-std::string predict_line(std::size_t i, const std::string& scales_json) {
-  const auto& test = fixture().exp.test;
-  const auto row = test.configs.row(i % test.size());
-  std::string line = "{\"id\":" + std::to_string(i) + ",\"params\":[";
-  for (std::size_t d = 0; d < row.size(); ++d) {
-    if (d > 0) line += ',';
-    obs::json_number_into(line, row[d]);
-  }
-  line += ']';
-  if (!scales_json.empty()) line += ",\"scales\":" + scales_json;
-  line += '}';
-  return line;
-}
-
 TEST(ServeServer, PredictAnswersWithModelVersion) {
-  const auto server = make_server();
+  const auto server = default_server();
   const std::string response = server->handle_line(predict_line(0, "[64]"));
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(response.find("\"model_version\":1"), std::string::npos);
@@ -78,8 +51,8 @@ TEST(ServeServer, PredictAnswersWithModelVersion) {
 }
 
 TEST(ServeServer, OmittedScalesFallBackToModelTargets) {
-  const auto server = make_server();
-  const auto targets = fixture().model.extrapolation().target_scales();
+  const auto server = default_server();
+  const auto targets = trained().model.extrapolation().target_scales();
   std::string expect = "\"scales\":[";
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (i > 0) expect += ',';
@@ -91,15 +64,14 @@ TEST(ServeServer, OmittedScalesFallBackToModelTargets) {
 }
 
 TEST(ServeServer, ServerWithoutModelIsUnavailable) {
-  Server server;
-  EXPECT_EQ(server.model_version(), 0u);
+  Server server;  // no store attached
   const std::string response = server.handle_line(predict_line(0, "[64]"));
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(response.find("\"code\":\"unavailable\""), std::string::npos);
 }
 
 TEST(ServeServer, ParamsWidthMismatchIsATypedError) {
-  const auto server = make_server();
+  const auto server = default_server();
   const std::string response =
       server->handle_line(R"({"id":9,"params":[1.0],"scales":[64]})");
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos);
@@ -108,63 +80,90 @@ TEST(ServeServer, ParamsWidthMismatchIsATypedError) {
 }
 
 TEST(ServeServer, MalformedLineStillGetsAResponseLine) {
-  const auto server = make_server();
+  const auto server = default_server();
   const std::string response = server->handle_line("{{{");
   EXPECT_NE(response.find("\"code\":\"bad-request\""), std::string::npos);
 }
 
 TEST(ServeServer, FailedReloadKeepsTheOldModelServing) {
-  const auto server = make_server();
+  const PrivateStore store;
   const std::string before =
-      server->handle_line(predict_line(1, "[64,256]"));
-  const std::string response = server->handle_line(
-      R"({"id":"r","cmd":"reload","model":"/nonexistent/model.txt"})");
+      store.server->handle_line(predict_line(1, "[64,256]"));
+  // A torn version 2 (a crashed publisher) is the latest on disk.
+  std::ofstream(store.archive(2), std::ios::binary) << "HPCPARC1 torn";
+  const std::string response = store.server->handle_line(
+      R"({"id":"r","cmd":"reload","tenant":"default"})");
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(response.find("\"code\":\"io\""), std::string::npos);
-  EXPECT_EQ(server->model_version(), 1u);  // version did not bump
-  // The old snapshot still answers, byte-identically.
-  EXPECT_EQ(server->handle_line(predict_line(1, "[64,256]")), before);
+  EXPECT_NE(response.find("\"code\":\"bad-data\""), std::string::npos)
+      << response;
+  // The old epoch still answers, byte-identically, at version 1.
+  EXPECT_EQ(store.server->handle_line(predict_line(1, "[64,256]")), before);
+  EXPECT_NE(before.find("\"model_version\":1"), std::string::npos);
 }
 
 TEST(ServeServer, SuccessfulReloadBumpsVersionAndClearsCache) {
-  const auto server = make_server();
-  (void)server->handle_line(predict_line(0, "[64]"));
-  EXPECT_GT(server->cache().size(), 0u);
-  const std::string response = server->handle_line(
-      "{\"cmd\":\"reload\",\"model\":" +
-      obs::json_quote(fixture().model_path) + "}");
-  EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+  const PrivateStore store;
+  (void)store.server->handle_line(predict_line(0, "[64]"));
+  EXPECT_GT(store.server->cache().size(), 0u);
+  auto reg = registry::Registry::open(store.root).value_or_throw();
+  ASSERT_EQ(reg.add_model(registry::kDefaultTenant, trained().model)
+                .value_or_throw(),
+            2u);
+  const std::string response = store.server->handle_line(
+      R"({"cmd":"reload","tenant":"default"})");
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
   EXPECT_NE(response.find("\"model_version\":2"), std::string::npos);
-  EXPECT_EQ(server->model_version(), 2u);
-  EXPECT_EQ(server->cache().size(), 0u);  // old model's values are gone
-  // Responses now advertise the new version.
-  EXPECT_NE(server->handle_line(predict_line(0, "[64]"))
+  // The cache is keyed on the version: the old model's values can no
+  // longer answer, so the same request is a miss and advertises v2.
+  const std::uint64_t misses = store.server->cache().misses();
+  EXPECT_NE(store.server->handle_line(predict_line(0, "[64]"))
                 .find("\"model_version\":2"),
             std::string::npos);
+  EXPECT_EQ(store.server->cache().misses(), misses + 1);
 }
 
 TEST(ServeServer, ReloadWithoutPathReReadsTheSourceArchive) {
-  const auto server = make_server();
-  const std::string response = server->handle_line(R"({"cmd":"reload"})");
+  const PrivateStore store;
+  (void)store.server->handle_line(predict_line(0, "[64]"));  // resident
+  auto reg = registry::Registry::open(store.root).value_or_throw();
+  (void)reg.add_model(registry::kDefaultTenant, trained().model)
+      .value_or_throw();
+  // A tenant-less reload rescans the store and re-reads every resident
+  // tenant's latest archive.
+  const std::string response =
+      store.server->handle_line(R"({"cmd":"reload"})");
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
-  EXPECT_EQ(server->model_version(), 2u);
+  EXPECT_NE(response.find("\"resident\":1"), std::string::npos) << response;
+  EXPECT_NE(store.server->handle_line(predict_line(0, "[64]"))
+                .find("\"model_version\":2"),
+            std::string::npos);
+  // Reload by path is gone: the store is the only source of models.
+  const std::string by_path = store.server->handle_line(
+      R"({"cmd":"reload","model":"/some/model.txt"})");
+  EXPECT_NE(by_path.find("\"code\":\"bad-request\""), std::string::npos)
+      << by_path;
 }
 
 TEST(ServeServer, SighupFlagTriggersAnOutOfBandReload) {
-  const auto server = make_server();
+  const PrivateStore store;
+  (void)store.server->handle_line(predict_line(0, "[64]"));  // resident
+  auto reg = registry::Registry::open(store.root).value_or_throw();
+  (void)reg.add_model(registry::kDefaultTenant, trained().model)
+      .value_or_throw();
   reload_flag().store(true);
   std::istringstream in(predict_line(0, "[64]") + "\n");
   std::ostringstream out;
-  EXPECT_FALSE(server->run(in, out));  // EOF, not shutdown
+  EXPECT_FALSE(store.server->run(in, out));  // EOF, not shutdown
   EXPECT_FALSE(reload_flag().load());
-  EXPECT_EQ(server->model_version(), 2u);  // reloaded before serving
-  // Exactly one response line: the reload itself was silent.
-  EXPECT_NE(out.str().find("\"model_version\":2"), std::string::npos);
+  // Reloaded before serving, and exactly one response line: the reload
+  // itself was silent.
+  EXPECT_NE(out.str().find("\"model_version\":2"), std::string::npos)
+      << out.str();
   EXPECT_EQ(out.str().find('\n'), out.str().size() - 1);
 }
 
 TEST(ServeServer, ShutdownStopsTheLoopAndAcks) {
-  const auto server = make_server();
+  const auto server = default_server();
   std::istringstream in(predict_line(0, "[64]") +
                         "\n{\"cmd\":\"shutdown\"}\n" +
                         predict_line(1, "[64]") + "\n");
@@ -177,7 +176,7 @@ TEST(ServeServer, ShutdownStopsTheLoopAndAcks) {
 }
 
 TEST(ServeServer, BlankLinesProduceNoResponse) {
-  const auto server = make_server();
+  const auto server = default_server();
   EXPECT_EQ(server->handle_line(""), "");
   EXPECT_EQ(server->handle_line("  \t"), "");
   std::istringstream in("\n \n" + predict_line(0, "[64]") + "\n\n");
@@ -188,7 +187,7 @@ TEST(ServeServer, BlankLinesProduceNoResponse) {
 
 TEST(ServeServer, StatsReportsCacheCounters) {
   const auto server =
-      make_server({.cache_entries = 128, .cache_shards = 2});
+      default_server({.cache_entries = 128, .cache_shards = 2});
   (void)server->handle_line(predict_line(0, "[64]"));
   (void)server->handle_line(predict_line(0, "[64]"));  // cache hit
   const std::string stats = server->handle_line(R"({"cmd":"stats"})");
@@ -213,7 +212,7 @@ TEST(ServeServer, ReplayIsBitwiseIdenticalAcrossWorkersAndCache) {
   }
 
   const auto run_replay = [&replay](ServeOptions opts) {
-    const auto server = make_server(opts);
+    const auto server = default_server(opts);
     std::istringstream in(replay);
     std::ostringstream out;
     (void)server->run(in, out);
@@ -235,7 +234,7 @@ TEST(ServeServer, ReplayIsBitwiseIdenticalAcrossWorkersAndCache) {
       << "batching leaked";
 
   // handle_line (a batch of one) must agree with the streamed loop.
-  const auto one = make_server();
+  const auto one = default_server();
   std::string lines;
   std::istringstream in(replay);
   std::string line;
@@ -244,6 +243,57 @@ TEST(ServeServer, ReplayIsBitwiseIdenticalAcrossWorkersAndCache) {
     if (!response.empty()) lines += response + '\n';
   }
   EXPECT_EQ(lines, reference);
+}
+
+/// The stdio transport is handle_batch over windows: run() must write
+/// exactly the non-empty responses one handle_batch call gives for the
+/// same lines — blank, over-long, control and a mid-stream shutdown
+/// included (nothing after the shutdown is looked at).
+TEST(ServeServer, RunMatchesHandleBatchByteForByte) {
+  constexpr std::size_t kMaxLine = 256;
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < 40; ++i) {
+    switch (i % 8) {
+      case 0: lines.push_back(predict_line(i, "[64,256]")); break;
+      case 1: lines.push_back(""); break;
+      case 2: lines.push_back("  \t"); break;
+      case 3:
+        lines.push_back("{\"params\":[" + std::string(2 * kMaxLine, '1') +
+                        "]}");
+        break;
+      case 4: lines.push_back(R"({"id":"p","cmd":"ping"})"); break;
+      case 5: lines.push_back(predict_line(0, "[64,256]")); break;
+      case 6: lines.push_back("not json"); break;
+      case 7: lines.push_back(R"({"id":"r","cmd":"reload"})"); break;
+    }
+  }
+  lines[30] = R"({"id":"bye","cmd":"shutdown"})";
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+
+  const ServeOptions opts{.batch_max = 4, .max_line_bytes = kMaxLine};
+  const auto streamed = default_server(opts);
+  std::istringstream in(text);
+  std::ostringstream out;
+  EXPECT_TRUE(streamed->run(in, out));
+
+  std::vector<Server::BatchLine> window;
+  for (const std::string& line : lines) {
+    window.push_back({line, line.size() > kMaxLine});
+  }
+  const auto windowed = default_server(opts);
+  const Server::BatchOutcome outcome = windowed->handle_batch(window);
+  EXPECT_TRUE(outcome.shutdown);
+  EXPECT_EQ(outcome.consumed, 31u);
+  std::string expect;
+  for (const std::string& response : outcome.responses) {
+    if (!response.empty()) expect += response + '\n';
+  }
+  EXPECT_EQ(out.str(), expect);
+  EXPECT_NE(expect.find("\"code\":\"too-large\""), std::string::npos);
+  EXPECT_NE(expect.find("\"id\":\"bye\",\"ok\":true,\"cmd\":\"shutdown\""),
+            std::string::npos);
+  EXPECT_EQ(streamed->requests_served(), windowed->requests_served());
 }
 
 }  // namespace

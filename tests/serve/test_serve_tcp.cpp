@@ -17,47 +17,15 @@
 #include <string>
 #include <thread>
 
-#include "src/core/experiment.hpp"
-#include "src/core/two_level_model.hpp"
 #include "src/obs/jsonlite.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
+#include "tests/serve/serve_fixture.hpp"
 
 namespace hpcp::serve {
 namespace {
 
-struct Fixture {
-  Experiment exp;
-  TwoLevelModel model;
-};
-
-const Fixture& fixture() {
-  static const Fixture* f = [] {
-    auto* out = new Fixture;
-    ExperimentConfig cfg;
-    cfg.app_name = "minimd";
-    cfg.num_train = 60;
-    cfg.num_test = 8;
-    cfg.seed = 101;
-    out->exp = make_experiment(cfg);
-    Rng rng(2);
-    out->model.fit(out->exp.problem, rng);
-    return out;
-  }();
-  return *f;
-}
-
-std::string predict_line(std::size_t i) {
-  const auto& test = fixture().exp.test;
-  const auto row = test.configs.row(i % test.size());
-  std::string line = "{\"id\":" + std::to_string(i) + ",\"params\":[";
-  for (std::size_t d = 0; d < row.size(); ++d) {
-    if (d > 0) line += ',';
-    obs::json_number_into(line, row[d]);
-  }
-  line += "],\"scales\":[64]}";
-  return line;
-}
+using fixture::predict_line;
 
 /// A blocking loopback client with a receive timeout so a server bug can
 /// never hang the test binary.
@@ -127,8 +95,7 @@ class Client {
 class Listener {
  public:
   explicit Listener(TcpOptions opts = {}) {
-    server_ = std::make_unique<Server>();
-    server_->set_model(fixture().model, "");
+    server_ = fixture::default_server();
     opts.bound_port = &port_;
     thread_ = std::thread([this, opts] {
       const auto result = run_tcp_server(*server_, 0, log_, opts);

@@ -8,7 +8,7 @@
 # Usage: tools/ci.sh [--skip-sanitizers] [--only STAGE]
 #                    [--build-dir-prefix PREFIX] [--artifact-dir DIR]
 #   STAGE  one of: release bench obs trace serve registry scrape chaos
-#          ingest cli asan
+#          ingest cli perfbench asan
 #   PREFIX build tree prefix, default "build-ci-" (trees land at
 #          <repo>/<prefix><name>; keep it matching .gitignore's build-*/)
 #   DIR    where bench/trace/metrics JSONs are written, default
@@ -41,6 +41,49 @@ if [[ -z "${artifact_dir}" ]]; then
 fi
 mkdir -p "${artifact_dir}"
 cli="${release_dir}/tools/hpcpredict_cli"
+
+# The server serves only from a model store: publish_default MODEL STORE
+# puts a saved model file into a fresh one-tenant store as "default",
+# version 1 — the CLI form of serving one file.
+publish_default() {
+  rm -rf "$2"
+  "${cli}" registry add --root "$2" --tenant default --model "$1" \
+    > /dev/null
+}
+
+# serve_torn_reload STORE HEAD TAIL OUT [serve flags...]: serves the
+# request file HEAD over stdio, waits until every non-blank HEAD line is
+# answered (so the default tenant's version 1 is resident), then tears
+# STORE/default/2.hpcp as a crashed publisher would (a 512-byte prefix of
+# version 1) and sends TAIL, which reloads the tenant. The torn version
+# is removed afterwards, so the store can be served again.
+serve_torn_reload() {
+  local store="$1" head="$2" tail="$3" out="$4"
+  shift 4
+  local fifo="${out}.fifo"
+  rm -f "${fifo}"
+  mkfifo "${fifo}"
+  timeout 120 "${cli}" serve --registry "${store}" --stdio "$@" \
+    < "${fifo}" > "${out}" 2> /dev/null &
+  local pid=$!
+  local fd
+  exec {fd}> "${fifo}"
+  cat "${head}" >&"${fd}"
+  local want i
+  want="$(grep -cv '^[[:space:]]*$' "${head}")"
+  for i in $(seq 1 600); do
+    [[ "$(wc -l < "${out}")" -ge "${want}" ]] && break
+    kill -0 "${pid}" 2> /dev/null || break
+    sleep 0.1
+  done
+  head -c 512 "${store}/default/1.hpcp" > "${store}/default/2.hpcp"
+  cat "${tail}" >&"${fd}"
+  exec {fd}>&-
+  local status=0
+  wait "${pid}" || status=$?
+  rm -f "${fifo}" "${store}/default/2.hpcp"
+  return "${status}"
+}
 
 run_matrix_entry() {
   local name="$1"
@@ -240,10 +283,11 @@ EOF
   fi
 }
 
-# Serve smoke: train a tiny model through the CLI, replay a request file
-# (valid predictions, repeats for cache hits, malformed lines, a failed
-# reload, control commands) through `hpcpredict_cli serve --stdio`, and
-# require byte-identical response streams across worker counts and cache
+# Serve smoke: train a tiny model through the CLI, publish it as a
+# one-tenant store, replay a request file (valid predictions, repeats for
+# cache hits, malformed lines, a failed reload of a torn version 2,
+# control commands) through `hpcpredict_cli serve --stdio`, and require
+# byte-identical response streams across worker counts and cache
 # configurations — the user-facing half of the serve determinism contract.
 stage_serve() {
   echo "=== [release] serve-smoke ==="
@@ -253,6 +297,8 @@ stage_serve() {
     --configs 24 --scales 1,2,4,8 --seed 3
   "${cli}" train --history "${dir}/hist.csv" --targets 16,32 --seed 5 \
     --save "${dir}/model.txt" > /dev/null
+  local store="${dir}/store"
+  publish_default "${dir}/model.txt" "${store}"
 
   {
     local i
@@ -265,11 +311,13 @@ stage_serve() {
     printf '{"id":"oops","params":[1,2],"scales":[16]}\n'   # width mismatch
     printf 'not json at all\n'
     printf '{"id":"bad","cmd":"frobnicate"}\n'
-    printf '{"cmd":"reload","model":"%s/nonexistent.txt"}\n' "${dir}"
+  } > "${dir}/replay-head.txt"
+  {
+    printf '{"cmd":"reload","tenant":"default"}\n'   # torn version 2
     printf '{"id":"after-reload","params":[256,150,2],"scales":[16,32]}\n'
     printf '{"cmd":"ping"}\n'
     printf '{"cmd":"shutdown"}\n'
-  } > "${dir}/replay.txt"
+  } > "${dir}/replay-tail.txt"
 
   local variant
   for variant in "t1:--threads 1" "t8:--threads 8" \
@@ -278,8 +326,8 @@ stage_serve() {
     local name="${variant%%:*}"
     local flags="${variant#*:}"
     # shellcheck disable=SC2086
-    "${cli}" serve --model "${dir}/model.txt" --stdio ${flags} \
-      < "${dir}/replay.txt" > "${dir}/out-${name}.txt" 2> /dev/null
+    serve_torn_reload "${store}" "${dir}/replay-head.txt" \
+      "${dir}/replay-tail.txt" "${dir}/out-${name}.txt" ${flags}
   done
   local name
   for name in t8 t8-nocache t8-batch1; do
@@ -289,28 +337,37 @@ stage_serve() {
       exit 1
     fi
   done
-  grep -q '"code":"io"' "${dir}/out-t1.txt" \
-    || { echo "failed reload did not produce a typed io error" >&2; exit 1; }
-  grep -q '"id":"after-reload","ok":true' "${dir}/out-t1.txt" \
+  grep -q '"code":"bad-data"' "${dir}/out-t1.txt" \
+    || { echo "failed reload did not produce a typed bad-data error" >&2
+         exit 1; }
+  grep -q '"id":"after-reload","ok":true,"model_version":1' \
+    "${dir}/out-t1.txt" \
     || { echo "old model stopped serving after a failed reload" >&2
          exit 1; }
   grep -q '"cmd":"shutdown"' "${dir}/out-t1.txt" \
     || { echo "shutdown was not acknowledged" >&2; exit 1; }
 
-  # A missing model archive must be a clean exit 1, not a crash; an
-  # unknown serve flag must be the usual usage exit 2.
+  # An unusable model store must be a clean exit 1, not a crash; an
+  # unknown serve flag must be the usual usage exit 2, and so must the
+  # removed --model flag, whose message names its replacement.
   local status=0
-  "${cli}" serve --model "${dir}/no-such-model.txt" --stdio \
+  "${cli}" serve --registry "${dir}/model.txt" --stdio \
     < /dev/null > /dev/null 2>&1 || status=$?
   [[ "${status}" -eq 1 ]] \
-    || { echo "serve with missing model exited ${status}, expected 1" >&2
+    || { echo "serve with an unusable store exited ${status}, expected 1" >&2
          exit 1; }
   status=0
-  "${cli}" serve --model "${dir}/model.txt" --no-such-flag \
+  "${cli}" serve --registry "${store}" --no-such-flag \
     > /dev/null 2>&1 || status=$?
   [[ "${status}" -eq 2 ]] \
     || { echo "unknown serve option exited ${status}, expected 2" >&2
          exit 1; }
+  status=0
+  "${cli}" serve --model "${dir}/model.txt" --stdio \
+    < /dev/null > /dev/null 2> "${dir}/model-flag.log" || status=$?
+  [[ "${status}" -eq 2 ]] && grep -q 'registry add' "${dir}/model-flag.log" \
+    || { echo "serve --model exited ${status} without naming" \
+         "\`registry add\`" >&2; exit 1; }
   echo "serve-smoke ok (4 variants byte-identical, errors typed)"
 
   # Concurrent-socket replay: the same determinism contract over real
@@ -341,10 +398,10 @@ stage_serve() {
       } >> "${cdir}/conn-${c}.txt"
     done
     for c in $(seq 0 $((conns - 1))); do
-      "${cli}" serve --model "${dir}/model.txt" --stdio \
+      "${cli}" serve --registry "${store}" --stdio \
         < "${cdir}/conn-${c}.txt" > "${cdir}/expect-${c}.txt" 2> /dev/null
     done
-    timeout 120 "${cli}" serve --model "${dir}/model.txt" --port 0 \
+    timeout 120 "${cli}" serve --registry "${store}" --port 0 \
       2> "${cdir}/daemon.log" &
     local daemon_pid=$!
     local tcp_port=""
@@ -418,7 +475,7 @@ EOF
 # continuously evicts and reloads archives — and requires byte-identical
 # response streams across worker counts, cache configurations, and
 # residency budgets over stdio, plus per-tenant byte-identity against
-# plain single-model servers over the epoll TCP front-end: tenant
+# one-tenant servers over the epoll TCP front-end: tenant
 # routing, LRU churn, and cross-tenant batching must never reach
 # response bytes. Then the blast-radius check: corrupting one tenant's
 # archive degrades that tenant alone (typed bad-data) while every other
@@ -445,11 +502,13 @@ stage_registry() {
     || { echo "registry ls did not report 16 tenants" >&2; exit 1; }
 
   # Per-tenant request files: conn-N.txt carries the "model" routing
-  # field, ref-N.txt is the same requests without it. A plain
-  # single-model replay of ref-N.txt is the ground truth the registry
-  # server must reproduce for that tenant, byte for byte (responses
-  # carry id + model_version, never the tenant name, so the comparison
-  # is direct).
+  # field, ref-N.txt is the same requests without it. A replay of
+  # ref-N.txt against a one-tenant store holding the same model is the
+  # ground truth the 16-tenant server must reproduce for that tenant,
+  # byte for byte (responses carry id + model_version, never the tenant
+  # name, so the comparison is direct).
+  local single="${dir}/single"
+  publish_default "${dir}/model.txt" "${single}"
   local i
   for c in $(seq 0 15); do
     t="$(printf 'tenant-%02d' "${c}")"
@@ -463,7 +522,7 @@ stage_registry() {
         "$((c * 100 + i))" "$((200 + c * 11 + i * 7))" \
         "$((100 + i * 3))" "$((1 + i % 3))" >> "${dir}/ref-${c}.txt"
     done
-    "${cli}" serve --model "${dir}/model.txt" --stdio \
+    "${cli}" serve --registry "${single}" --stdio \
       < "${dir}/ref-${c}.txt" > "${dir}/expect-${c}.txt" 2> /dev/null
   done
 
@@ -507,7 +566,7 @@ stage_registry() {
 
   # The epoll front-end: one connection per tenant against a live
   # registry daemon under the same budget; each connection's responses
-  # must equal its tenant's single-model ground truth.
+  # must equal its tenant's one-tenant ground truth.
   if command -v python3 > /dev/null 2>&1; then
     timeout 120 "${cli}" serve --registry "${store}" --port 0 \
       --max-resident 4 2> "${dir}/daemon.log" &
@@ -566,14 +625,14 @@ EOF
            exit 1; }
     for c in $(seq 0 15); do
       if ! cmp -s "${dir}/expect-${c}.txt" "${dir}/got-${c}.txt"; then
-        echo "tenant ${c} TCP responses differ from the single-model" \
+        echo "tenant ${c} TCP responses differ from the one-tenant" \
              "replay" >&2
         diff "${dir}/expect-${c}.txt" "${dir}/got-${c}.txt" | head >&2 || true
         exit 1
       fi
     done
     echo "registry-tcp ok (16 tenants under budget 4, each byte-identical" \
-         "to its single-model replay)"
+         "to its one-tenant replay)"
   else
     echo "python3 unavailable; registry TCP replay skipped"
   fi
@@ -635,6 +694,7 @@ stage_scrape() {
     --configs 24 --scales 1,2,4,8 --seed 3
   "${cli}" train --history "${dir}/hist.csv" --targets 16,32 --seed 5 \
     --save "${dir}/model.txt" > /dev/null
+  publish_default "${dir}/model.txt" "${dir}/store"
 
   # Predicts only: health/stats responses carry wall-clock fields
   # (uptime_ms, windows), so the byte-compared stream must stay free of
@@ -652,7 +712,7 @@ stage_scrape() {
 
   local mode
   for mode in idle hammer; do
-    timeout 120 "${cli}" serve --model "${dir}/model.txt" --port 0 \
+    timeout 120 "${cli}" serve --registry "${dir}/store" --port 0 \
       --admin-port 0 2> "${dir}/daemon-${mode}.log" &
     local daemon_pid=$!
     local data_port="" admin_port=""
@@ -692,8 +752,8 @@ stage_scrape() {
 # cleanly with one well-formed response per delivered line while the
 # transport injects garbage frames, short reads, and mid-line
 # disconnects; a seeded chaos replay must be byte-reproducible; and a
-# torn model archive must be a typed reload error with the old model
-# still serving, never a crash.
+# torn model archive (version 2 of the served tenant) must be a typed
+# reload error with the old version still serving, never a crash.
 stage_chaos() {
   echo "=== [release] chaos-suite (watchdog) ==="
   timeout 300 ctest --test-dir "${release_dir}" --output-on-failure \
@@ -707,6 +767,8 @@ stage_chaos() {
     --configs 24 --scales 1,2,4,8 --seed 3
   "${cli}" train --history "${dir}/hist.csv" --targets 16,32 --seed 5 \
     --save "${dir}/model.txt" > /dev/null
+  local store="${dir}/store"
+  publish_default "${dir}/model.txt" "${store}"
 
   {
     local i
@@ -725,7 +787,7 @@ stage_chaos() {
   # deterministic in (spec, stream shape), so this never flakes).
   local spec="seed=23,short_read=0.6,garbage=0.5"
   HPCP_SERVE_FAULTS="${spec}" timeout 60 \
-    "${cli}" serve --model "${dir}/model.txt" --stdio \
+    "${cli}" serve --registry "${store}" --stdio \
     < "${dir}/replay.txt" > "${dir}/out-chaos.txt" 2> "${dir}/chaos.log"
   grep -q "FAULT INJECTION ACTIVE" "${dir}/chaos.log" \
     || { echo "chaos run did not announce fault injection" >&2; exit 1; }
@@ -741,7 +803,7 @@ stage_chaos() {
 
   # Same seed, same bytes: a chaos scenario found in CI replays exactly.
   HPCP_SERVE_FAULTS="${spec}" timeout 60 \
-    "${cli}" serve --model "${dir}/model.txt" --stdio \
+    "${cli}" serve --registry "${store}" --stdio \
     < "${dir}/replay.txt" > "${dir}/out-chaos2.txt" 2> /dev/null
   cmp -s "${dir}/out-chaos.txt" "${dir}/out-chaos2.txt" \
     || { echo "seeded chaos replay is not byte-reproducible" >&2; exit 1; }
@@ -749,20 +811,20 @@ stage_chaos() {
   # Mid-line disconnect: the daemon must exit cleanly (EOF, status 0),
   # never hang or crash, whatever prefix of the stream was delivered.
   HPCP_SERVE_FAULTS="seed=11,short_read=0.4,disconnect=0.02" timeout 60 \
-    "${cli}" serve --model "${dir}/model.txt" --stdio \
+    "${cli}" serve --registry "${store}" --stdio \
     < "${dir}/replay.txt" > "${dir}/out-disconnect.txt" 2> /dev/null
 
   # A torn archive (crashed writer) is a typed reload error; the old
   # model keeps serving and says so.
-  head -c 512 "${dir}/model.txt" > "${dir}/torn.txt"
+  printf '{"id":1,"params":[256,150,2],"scales":[16,32]}\n' \
+    > "${dir}/torn-head.txt"
   {
-    printf '{"id":1,"params":[256,150,2],"scales":[16,32]}\n'
-    printf '{"cmd":"reload","model":"%s/torn.txt"}\n' "${dir}"
+    printf '{"cmd":"reload","tenant":"default"}\n'
     printf '{"id":"survivor","params":[256,150,2],"scales":[16,32]}\n'
     printf '{"cmd":"shutdown"}\n'
-  } > "${dir}/torn-replay.txt"
-  timeout 60 "${cli}" serve --model "${dir}/model.txt" --stdio \
-    < "${dir}/torn-replay.txt" > "${dir}/out-torn.txt" 2> /dev/null
+  } > "${dir}/torn-tail.txt"
+  serve_torn_reload "${store}" "${dir}/torn-head.txt" \
+    "${dir}/torn-tail.txt" "${dir}/out-torn.txt"
   grep -Eq '"code":"(bad-data|io)"' "${dir}/out-torn.txt" \
     || { echo "torn archive reload did not produce a typed error" >&2
          exit 1; }
@@ -917,6 +979,29 @@ stage_cli() {
        "byte-identical)"
 }
 
+# Frozen-benchmark smoke: the serving benchmark (perfbench/, see
+# BENCHMARK.json) built from this checkout and run once per workload with
+# the traced in-process replay. Exit 1 is a correctness failure (a
+# response that differs from a fresh server's, or handle_batch bytes that
+# stop matching the traced per-layer mirror) and exit 2 means it could not
+# build or start: both fail the stage. Exit 3 marks a run too noisy to be
+# a measurement, which a shared runner may produce, so it only warns.
+# Catches a broken frozen-API build before the benchmark pipeline does.
+stage_perfbench() {
+  echo "=== [release] perfbench-smoke ==="
+  local status=0
+  (cd "${repo_root}" && python3 perfbench/run.py --workload all \
+      --seconds 6 --trace 1) \
+    > "${artifact_dir}/perfbench.json" || status=$?
+  case "${status}" in
+    0) echo "perfbench-smoke ok (all workloads correct)" ;;
+    3) echo "perfbench-smoke: runs flagged as not a measurement (exit 3)" \
+            "— correctness held, tolerated on a noisy runner" >&2 ;;
+    *) echo "perfbench-smoke failed with exit ${status}" >&2
+       exit 1 ;;
+  esac
+}
+
 # Per-stage wall-clock accounting: every stage runs through run_stage,
 # which records its duration, and the EXIT trap prints a summary table
 # whether the matrix passed or died mid-stage — so a slow or hung stage
@@ -947,10 +1032,11 @@ run_stage() {
 
 if [[ -n "${only_stage}" ]]; then
   case "${only_stage}" in
-    release|bench|obs|trace|serve|registry|scrape|chaos|ingest|cli|asan)
+    release|bench|obs|trace|serve|registry|scrape|chaos|ingest|cli|\
+    perfbench|asan)
       run_stage "${only_stage}" ;;
     *) echo "unknown stage: ${only_stage} (expected release|bench|obs|" \
-            "trace|serve|registry|scrape|chaos|ingest|cli|asan)" >&2
+            "trace|serve|registry|scrape|chaos|ingest|cli|perfbench|asan)" >&2
        exit 2 ;;
   esac
   echo "=== stage ${only_stage} passed ==="
@@ -967,6 +1053,7 @@ run_stage scrape
 run_stage chaos
 run_stage ingest
 run_stage cli
+run_stage perfbench
 if [[ "${skip_san}" -eq 0 ]]; then
   run_stage asan
 fi

@@ -71,7 +71,7 @@ inline FlagSpec spec_for(const std::string& command) {
     add({"history", "out", "report"});
     spec.bool_flags = {"strict"};
   } else if (command == "serve") {
-    add({"model", "registry", "max-resident", "resident-bytes", "port",
+    add({"registry", "max-resident", "resident-bytes", "port",
          "admin-port", "threads", "batch-max", "cache-entries",
          "cache-shards", "max-line-bytes", "max-pending", "deadline-ms",
          "io-timeout-ms", "max-conns", "seq-log", "retrain-records",

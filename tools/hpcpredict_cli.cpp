@@ -15,12 +15,12 @@
 ///             Exit code 0 = clean, 3 = records quarantined, 1 = fatal
 ///             (unreadable/unusable file). Never crashes on corrupt input.
 ///   serve     Long-lived prediction server speaking the line-delimited
-///             hpcp-serve/1 JSON protocol: loads a saved --model once (or
-///             fronts a multi-tenant --registry store), then answers
-///             predict/ping/stats/reload/shutdown request lines on
-///             stdin/stdout (default, or --stdio) or over TCP (--port N).
-///             SIGHUP hot-reloads the model archive (or every resident
-///             registry tenant) in place.
+///             hpcp-serve/1 JSON protocol: fronts a --registry model store
+///             (publish a saved model into it with `registry add`), then
+///             answers predict/ping/stats/reload/shutdown request lines
+///             on stdin/stdout (default, or --stdio) or over TCP
+///             (--port N). SIGHUP rescans the store and hot-reloads every
+///             resident tenant in place.
 ///   registry  Manage a named+versioned model store: `ls` the tenants,
 ///             `add` a model file as a tenant's next version, `gc` old
 ///             versions. `serve --registry DIR` serves the same store.
@@ -45,6 +45,7 @@
 ///       --queries queries.csv --uncertainty
 ///   hpcpredict_cli evaluate --app minimd --targets 32,64,128,256
 
+#include <algorithm>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -415,18 +416,10 @@ int cmd_serve(const Args& args) {
   opts.max_resident_bytes = args.get_size("resident-bytes", 0);
   opts.retrain_records = args.get_size("retrain-records", 0);
   opts.retrain_interval_ms = args.get_size("retrain-interval-ms", 0);
-  if ((opts.retrain_records > 0 || opts.retrain_interval_ms > 0) &&
-      !args.has("registry")) {
-    throw cli::UsageError(
-        "--retrain-records / --retrain-interval-ms require --registry");
-  }
   if (args.has("port") && args.has("stdio")) {
     throw cli::UsageError("--port and --stdio are mutually exclusive");
   }
-  if (args.has("model") == args.has("registry")) {
-    throw cli::UsageError(
-        "serve expects exactly one of --model FILE or --registry DIR");
-  }
+  const std::string root = args.get("registry");
 
   // A peer that disconnects mid-response must surface as a write error on
   // our side, never as a process-killing SIGPIPE.
@@ -448,27 +441,18 @@ int cmd_serve(const Args& args) {
   serve::Server server(opts);
   // Diagnostics go to stderr: in stdio mode stdout carries only protocol
   // response lines, so replayed sessions can be compared byte-for-byte.
-  if (args.has("registry")) {
-    server.attach_registry(args.get("registry")).value_or_throw();
-    std::cerr << "serve: registry " << args.get("registry") << " ("
-              << server.model_pool()->registry().list().size()
-              << " tenant(s), max_resident=" << opts.max_resident_models
-              << ", resident_bytes="
-              << (opts.max_resident_bytes > 0
-                      ? std::to_string(opts.max_resident_bytes)
-                      : std::string("unlimited"))
-              << ", threads=" << opts.threads
-              << ", batch_max=" << opts.batch_max
-              << ", cache_entries=" << opts.cache_entries
-              << ", max_pending=" << opts.max_pending << ")\n";
-  } else {
-    server.load_model_file(args.get("model")).value_or_throw();
-    std::cerr << "serve: loaded " << args.get("model") << " (model_version "
-              << server.model_version() << ", threads=" << opts.threads
-              << ", batch_max=" << opts.batch_max
-              << ", cache_entries=" << opts.cache_entries
-              << ", max_pending=" << opts.max_pending << ")\n";
-  }
+  server.attach_registry(root).value_or_throw();
+  std::cerr << "serve: registry " << root << " ("
+            << server.model_pool()->registry().list().size()
+            << " tenant(s), max_resident=" << opts.max_resident_models
+            << ", resident_bytes="
+            << (opts.max_resident_bytes > 0
+                    ? std::to_string(opts.max_resident_bytes)
+                    : std::string("unlimited"))
+            << ", threads=" << opts.threads
+            << ", batch_max=" << opts.batch_max
+            << ", cache_entries=" << opts.cache_entries
+            << ", max_pending=" << opts.max_pending << ")\n";
   std::signal(SIGHUP,
               [](int) { serve::reload_flag().store(true); });
 
@@ -571,7 +555,7 @@ void print_usage() {
       "           [--scales ...] [--targets ...] [--seed S]\n"
       "  validate --history FILE [--strict] [--out CLEAN_FILE]\n"
       "           [--report QUARANTINE_FILE]\n"
-      "  serve    (--model FILE | --registry DIR) [--port N | --stdio]\n"
+      "  serve    --registry DIR [--port N | --stdio]\n"
       "           [--max-resident N] [--resident-bytes N] [--threads N]\n"
       "           [--batch-max N] [--cache-entries N] [--cache-shards N]\n"
       "           [--max-line-bytes N] [--max-pending N] [--deadline-ms N]\n"
@@ -618,6 +602,14 @@ int main(int argc, char** argv) {
                       std::vector<std::string>(argv + 3, argv + argc));
       const cli::ObsSession obs_session(args);
       return cmd_registry(action, args);
+    }
+    if (command == "serve" &&
+        std::find(argv + 2, argv + argc, std::string("--model")) !=
+            argv + argc) {
+      throw cli::UsageError(
+          "serve --model was removed: publish the file with `hpcpredict_cli "
+          "registry add --root DIR --tenant default --model FILE`, then "
+          "serve it with `serve --registry DIR`");
     }
     const cli::FlagSpec spec = cli::spec_for(command);
     const Args args(spec, std::vector<std::string>(argv + 2, argv + argc));
