@@ -356,6 +356,12 @@ void ExtrapolationLevel::fit(const Matrix& small_times,
 std::size_t ExtrapolationLevel::assign_cluster(
     std::span<const double> small_curve) const {
   HPCP_REQUIRE(fitted_, "assign before fit");
+  if (obs::metrics_enabled()) {
+    // Resolved once: a registry lookup takes a lock, add() does not.
+    static obs::Counter& assignments =
+        obs::global_metrics().counter("extrap.assign_cluster");
+    assignments.add();
+  }
   std::vector<double> positive(small_curve.begin(), small_curve.end());
   for (auto& v : positive) v = std::max(v, 1e-12);
   const auto shape = normalize_curve_shape(positive);
@@ -365,6 +371,11 @@ std::size_t ExtrapolationLevel::assign_cluster(
 ExtrapolationLevel::CurveFit ExtrapolationLevel::fit_curve(
     std::span<const double> curve,
     std::span<const std::size_t> support) const {
+  if (obs::metrics_enabled()) {
+    static obs::Counter& fits =
+        obs::global_metrics().counter("extrap.fit_curve");
+    fits.add();
+  }
   // Weighted *non-negative* least squares: basis coefficients are costs and
   // cannot be negative (an unconstrained fit lets collinear terms cancel
   // inside the small-scale range and diverge outside it), and 1/t weights
@@ -439,81 +450,77 @@ double ExtrapolationLevel::eval_fit(const CurveFit& fit, double p) const {
   return std::max(acc, 1e-9);
 }
 
-double ExtrapolationLevel::eval_power_law(std::span<const double> curve,
-                                          double p) const {
+ExtrapolationLevel::PowerLaw ExtrapolationLevel::fit_power_law(
+    std::span<const double> curve) const {
   // Log–log OLS of the query curve: log t = log a + b·log p. The weakest
   // model that still extrapolates — used only when every multitask support
   // selection failed (FallbackStage::PerConfigOls).
   const std::size_t k = small_scales_.size();
-  double mean_x = 0.0;
-  double mean_y = 0.0;
+  PowerLaw law;
   for (std::size_t i = 0; i < k; ++i) {
-    mean_x += std::log(static_cast<double>(small_scales_[i]));
-    mean_y += std::log(std::max(curve[i], 1e-12));
+    law.mean_x += std::log(static_cast<double>(small_scales_[i]));
+    law.mean_y += std::log(std::max(curve[i], 1e-12));
   }
-  mean_x /= static_cast<double>(k);
-  mean_y /= static_cast<double>(k);
+  law.mean_x /= static_cast<double>(k);
+  law.mean_y /= static_cast<double>(k);
   double var = 0.0;
   double cov = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
-    const double dx = std::log(static_cast<double>(small_scales_[i])) - mean_x;
-    const double dy = std::log(std::max(curve[i], 1e-12)) - mean_y;
+    const double dx =
+        std::log(static_cast<double>(small_scales_[i])) - law.mean_x;
+    const double dy = std::log(std::max(curve[i], 1e-12)) - law.mean_y;
     var += dx * dx;
     cov += dx * dy;
   }
-  const double b = var > 0.0 ? cov / var : 0.0;
-  const double log_pred = mean_y + b * (std::log(p) - mean_x);
+  law.slope = var > 0.0 ? cov / var : 0.0;
+  return law;
+}
+
+double ExtrapolationLevel::eval_power_law(const PowerLaw& law, double p) {
+  const double log_pred = law.mean_y + law.slope * (std::log(p) - law.mean_x);
   return std::max(std::exp(log_pred), 1e-9);
 }
 
-double ExtrapolationLevel::predict_one(std::span<const double> small_curve,
-                                       double p) const {
-  std::vector<std::size_t> support;
-  if (opts_.multitask) {
-    const std::size_t c = assign_cluster(small_curve);
-    if (cluster_stages_[c] == FallbackStage::PerConfigOls) {
-      return eval_power_law(small_curve, p);
+std::size_t ExtrapolationLevel::predict_at_scales(
+    std::span<const double> small_curve, std::span<const std::size_t> scales,
+    std::span<double> out) const {
+  HPCP_REQUIRE(fitted_, "predict before fit");
+  HPCP_REQUIRE(small_curve.size() == small_scales_.size(),
+               "curve width must match small-scale count");
+  HPCP_REQUIRE(out.size() == scales.size(),
+               "output span must match scale count");
+  // The cluster is assigned in single-task mode too: callers key their
+  // calibration on it.
+  const std::size_t c = assign_cluster(small_curve);
+  if (opts_.multitask && cluster_stages_[c] == FallbackStage::PerConfigOls) {
+    const PowerLaw law = fit_power_law(small_curve);
+    for (std::size_t i = 0; i < scales.size(); ++i) {
+      out[i] = eval_power_law(law, static_cast<double>(scales[i]));
     }
-    support = cluster_supports_[c];
-  } else {
-    support = select_support_single(small_curve);
+    return c;
   }
-  return eval_fit(fit_curve(small_curve, support), p);
+  const CurveFit fit =
+      opts_.multitask
+          ? fit_curve(small_curve, cluster_supports_[c])
+          : fit_curve(small_curve, select_support_single(small_curve));
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    out[i] = eval_fit(fit, static_cast<double>(scales[i]));
+  }
+  return c;
 }
 
 std::vector<double> ExtrapolationLevel::predict(
     std::span<const double> small_curve) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
-  HPCP_REQUIRE(small_curve.size() == small_scales_.size(),
-               "curve width must match small-scale count");
   std::vector<double> pred(target_scales_.size());
-  if (opts_.multitask) {
-    const std::size_t c = assign_cluster(small_curve);
-    if (cluster_stages_[c] == FallbackStage::PerConfigOls) {
-      for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-        pred[t] = eval_power_law(small_curve,
-                                 static_cast<double>(target_scales_[t]));
-      }
-      return pred;
-    }
-    const CurveFit fit = fit_curve(small_curve, cluster_supports_[c]);
-    for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-      pred[t] = eval_fit(fit, static_cast<double>(target_scales_[t]));
-    }
-    return pred;
-  }
-  const CurveFit fit =
-      fit_curve(small_curve, select_support_single(small_curve));
-  for (std::size_t t = 0; t < target_scales_.size(); ++t) {
-    pred[t] = eval_fit(fit, static_cast<double>(target_scales_[t]));
-  }
+  (void)predict_at_scales(small_curve, target_scales_, pred);
   return pred;
 }
 
 double ExtrapolationLevel::predict_at_scale(
     std::span<const double> small_curve, std::size_t nprocs) const {
-  HPCP_REQUIRE(fitted_, "predict before fit");
-  return predict_one(small_curve, static_cast<double>(nprocs));
+  double pred = 0.0;
+  (void)predict_at_scales(small_curve, {&nprocs, 1}, {&pred, 1});
+  return pred;
 }
 
 std::vector<std::string> ExtrapolationLevel::support_names(

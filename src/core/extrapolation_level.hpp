@@ -97,6 +97,16 @@ class ExtrapolationLevel {
   [[nodiscard]] double predict_at_scale(std::span<const double> small_curve,
                                         std::size_t nprocs) const;
 
+  /// One curve's predicted runtimes at every scale in `scales` (any order,
+  /// repeats allowed) into `out` (same length); returns the curve's
+  /// cluster. One cluster assignment, one fallback-rung resolution and
+  /// one curve fit serve every scale, so out[i] is bitwise equal to
+  /// predict_at_scale(small_curve, scales[i]). predict and
+  /// predict_at_scale are this call at the target scales and at one scale.
+  std::size_t predict_at_scales(std::span<const double> small_curve,
+                                std::span<const std::size_t> scales,
+                                std::span<double> out) const;
+
   /// Cluster a curve would be assigned to.
   [[nodiscard]] std::size_t assign_cluster(
       std::span<const double> small_curve) const;
@@ -146,15 +156,15 @@ class ExtrapolationLevel {
 
   [[nodiscard]] double eval_fit(const CurveFit& fit, double p) const;
 
-  /// PerConfigOls fallback: log–log power law t ≈ a·p^b fitted to `curve`
-  /// over the small scales, evaluated at scale p.
-  [[nodiscard]] double eval_power_law(std::span<const double> curve,
-                                      double p) const;
-
-  /// Predicted runtime of one curve at scale p, honouring the cluster's
-  /// fallback stage.
-  [[nodiscard]] double predict_one(std::span<const double> small_curve,
-                                   double p) const;
+  /// PerConfigOls fallback: log–log power law t ≈ a·p^b of one curve,
+  /// kept as the least-squares line through (log p, log t).
+  struct PowerLaw {
+    double mean_x = 0.0;  ///< mean log scale
+    double mean_y = 0.0;  ///< mean log runtime
+    double slope = 0.0;   ///< b
+  };
+  [[nodiscard]] PowerLaw fit_power_law(std::span<const double> curve) const;
+  [[nodiscard]] static double eval_power_law(const PowerLaw& law, double p);
 
   ExtrapolationLevelOptions opts_{};
   ScalingBasis basis_{};

@@ -149,8 +149,9 @@ void TwoLevelModel::calibrate(std::span<const double> params,
   HPCP_REQUIRE(extrapolation_.fitted(), "calibrate before fit");
   HPCP_REQUIRE(measured_runtime > 0.0, "measured runtime must be positive");
   const auto curve = interpolation_.predict_curve(params);
-  const std::size_t cluster = extrapolation_.assign_cluster(curve);
-  const double raw = extrapolation_.predict_at_scale(curve, nprocs);
+  double raw = 0.0;
+  const std::size_t cluster =
+      extrapolation_.predict_at_scales(curve, {&nprocs, 1}, {&raw, 1});
   calibration_log_ratios_[cluster].push_back(
       std::log(measured_runtime / raw));
 }
@@ -177,12 +178,10 @@ std::vector<double> TwoLevelModel::predict_curve_at_scales(
     std::span<const double> small_curve,
     std::span<const std::size_t> scales) const {
   HPCP_REQUIRE(extrapolation_.fitted(), "predict before fit");
-  const double factor =
-      calibration_factor(extrapolation_.assign_cluster(small_curve));
   std::vector<double> out(scales.size());
-  for (std::size_t i = 0; i < scales.size(); ++i) {
-    out[i] = factor * extrapolation_.predict_at_scale(small_curve, scales[i]);
-  }
+  const double factor = calibration_factor(
+      extrapolation_.predict_at_scales(small_curve, scales, out));
+  for (auto& v : out) v = factor * v;
   return out;
 }
 
@@ -204,9 +203,9 @@ std::vector<double> TwoLevelModel::predict(
   const obs::Span span("twolevel.predict");
   obs::count("twolevel.predictions");
   const auto curve = small_scale_curve(params, measured_small_times);
-  auto pred = extrapolation_.predict(curve);
-  const double factor =
-      calibration_factor(extrapolation_.assign_cluster(curve));
+  std::vector<double> pred(extrapolation_.target_scales().size());
+  const double factor = calibration_factor(extrapolation_.predict_at_scales(
+      curve, extrapolation_.target_scales(), pred));
   if (factor != 1.0) {
     for (auto& v : pred) v *= factor;
   }
@@ -304,9 +303,9 @@ std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(
                "interval quantiles must be ordered");
 
   const auto stats = interpolation_.predict_curve_stats(params);
-  auto point = extrapolation_.predict(stats.curve);
-  const double factor =
-      calibration_factor(extrapolation_.assign_cluster(stats.curve));
+  std::vector<double> point(extrapolation_.target_scales().size());
+  const double factor = calibration_factor(extrapolation_.predict_at_scales(
+      stats.curve, extrapolation_.target_scales(), point));
   for (auto& v : point) v *= factor;
   const std::size_t m = opts_.uncertainty_samples;
   const std::size_t k = stats.curve.size();

@@ -131,8 +131,10 @@ class TwoLevelModel final : public ExtrapolationModel {
 
   /// Level-2 half of predict_scaling_curve for an *already predicted*
   /// small-scale curve: cluster assignment, calibration, and the fitted
-  /// scalability model evaluated at `scales`. The prediction server's
-  /// batched hot path obtains many curves in one
+  /// scalability model evaluated at `scales` — one assignment and one
+  /// curve fit for all of them (ExtrapolationLevel::predict_at_scales),
+  /// the assigned cluster also keying the calibration. The prediction
+  /// server's batched hot path obtains many curves in one
   /// InterpolationLevel::predict_curves call and finishes each row here;
   /// predict_scaling_curve(params, scales) is bitwise-equal to
   /// predict_curve_at_scales(predict_curve(params), scales).
@@ -198,6 +200,10 @@ class TwoLevelModel final : public ExtrapolationModel {
       const std::string& path) const;
 
  private:
+  /// The parity tests compute the per-scale reference with the private
+  /// calibration_factor.
+  friend struct TwoLevelModelTestPeer;
+
   /// Multiplicative correction for one cluster (1.0 when uncalibrated).
   [[nodiscard]] double calibration_factor(std::size_t cluster) const;
 

@@ -45,20 +45,25 @@ void walk_scalar(const FlatForest::Node* nodes, const double* xd,
 #if defined(__x86_64__) || defined(__i386__)
 
 /// Vector tiers: active-list compaction. The scalar reference revisits
-/// every parked row on every sweep, so an unbalanced tree (unlimited
-/// depth — the production configuration) costs n * max_depth row visits
+/// every parked slot on every sweep, so an unbalanced tree (unlimited
+/// depth — the production configuration) costs n * max_depth slot visits
 /// even though only n * mean_depth of them do work; on measured fitted
 /// forests max_depth is roughly twice mean_depth, i.e. half the scalar
 /// sweeps' visits are wasted. The compaction walk keeps a packed list of
-/// still-active (node, row) entries — node index in the high 32 bits,
-/// row in the low 32 — steps every entry one level per sweep, and writes
-/// survivors back densely, so parked rows are never touched again and
+/// still-active (node, slot) entries — node index in the high 32 bits,
+/// slot in the low 32 — steps every entry one level per sweep, and writes
+/// survivors back densely, so parked slots are never touched again and
 /// each sweep is a straight streaming pass with branch-free bookkeeping.
 /// The eager survivor test (an entry is appended only while its next
 /// node is internal) keeps the step itself clamp-free: entries are
-/// never leaves.
+/// never leaves, which is why walk_tile seeds only internal roots.
 ///
-/// The compare runs two rows at a time through _mm_cmpnle_pd, whose
+/// A slot is one (tree, row) pair of a tile (see FlatForest::walk_tile):
+/// entries of different trees are independent dependency chains, so a
+/// tile of every tree over a one-row batch keeps ~100 node loads in
+/// flight where a tree-at-a-time walk would follow one chain at a time.
+///
+/// The compare runs two entries at a time through _mm_cmpnle_pd, whose
 /// predicate is exactly the scalar `!(x <= thr)` including the NaN
 /// case (unordered compares true, so NaN features and NaN thresholds
 /// send the row right) — that is what keeps the parity contract bitwise.
@@ -71,30 +76,15 @@ void walk_scalar(const FlatForest::Node* nodes, const double* xd,
 /// four-entry unroll exists to keep many independent node loads in
 /// flight, not to fill vector lanes.
 ///
-/// Row offsets: the batched predict paths walk contiguous row blocks, so
-/// the kernels fold the offset multiply into the step (kContiguous,
-/// xb = row * d) instead of loading a precomputed table; the out-of-bag
-/// path walks a row subset and passes its offset table explicitly.
+/// Slot offsets: a one-tree tile over contiguous rows folds the offset
+/// multiply into the step (kContiguous, xb = slot * d) instead of loading
+/// a precomputed table; the all-trees tile and the out-of-bag row subset
+/// pass their slot-to-row offset table explicitly.
 template <bool kContiguous>
-__attribute__((always_inline)) inline void walk_compact(
+__attribute__((always_inline)) inline void walk_active(
     const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
-  // Every row starts at the root, so the initial active list is either
-  // everything (internal root) or nothing (single-leaf tree, where cur
-  // must still report the root). Rows that leave the list have had their
-  // final leaf written to cur by the step below, so no caller prefill of
-  // cur is needed — batched callers reuse one scratch list across trees
-  // instead of refilling per tree.
-  if (nodes[root].feature < 0) {
-    std::fill(cur, cur + n, root);
-    return;
-  }
-  std::size_t m = n;
-  for (std::size_t k = 0; k < n; ++k) {
-    act[k] = static_cast<std::int64_t>(root) << 32 |
-             static_cast<std::uint32_t>(k);
-  }
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act, std::size_t m) {
   while (m) {
     std::size_t w = 0;
     std::size_t i = 0;
@@ -168,53 +158,70 @@ __attribute__((always_inline)) inline void walk_compact(
 /// Baseline x86-64 tier (SSE2 is architectural there).
 __attribute__((target("sse2"))) void walk_sse2(
     const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act, std::size_t m) {
   if (xbase == nullptr) {
-    walk_compact<true>(nodes, xd, nullptr, d, root, cur, n, act);
+    walk_active<true>(nodes, xd, nullptr, d, cur, act, m);
   } else {
-    walk_compact<false>(nodes, xd, xbase, d, root, cur, n, act);
+    walk_active<false>(nodes, xd, xbase, d, cur, act, m);
   }
 }
 
 /// AVX2 tier: the same compaction walk force-inlined under an AVX2
 /// target, so the compare/bookkeeping lower to VEX three-operand forms.
 /// It shares the 128-bit pairwise compare deliberately — see the
-/// walk_compact comment for why wider formulations measured slower.
+/// walk_active comment for why wider formulations measured slower.
 __attribute__((target("avx2"))) void walk_avx2(
     const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t root,
-    std::int32_t* cur, std::size_t n, std::int64_t* act) {
+    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+    std::int64_t* act, std::size_t m) {
   if (xbase == nullptr) {
-    walk_compact<true>(nodes, xd, nullptr, d, root, cur, n, act);
+    walk_active<true>(nodes, xd, nullptr, d, cur, act, m);
   } else {
-    walk_compact<false>(nodes, xd, xbase, d, root, cur, n, act);
+    walk_active<false>(nodes, xd, xbase, d, cur, act, m);
   }
 }
 
 #endif  // x86
 
-/// Row offsets as int32 indices; the size guard in the predict entry
+/// Slot-to-row offset table of a tile of `trees` trees over n contiguous
+/// rows: slot t * n + r reads row r. The size guard in the predict entry
 /// points bounds rows*cols, so the cast cannot truncate.
-std::vector<std::int32_t> make_xbase(std::size_t n, std::size_t d) {
-  std::vector<std::int32_t> xbase(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    xbase[r] = static_cast<std::int32_t>(r * d);
+std::vector<std::int32_t> make_xbase(std::size_t trees, std::size_t n,
+                                     std::size_t d) {
+  std::vector<std::int32_t> xbase(trees * n);
+  for (std::size_t t = 0; t < trees; ++t) {
+    for (std::size_t r = 0; r < n; ++r) {
+      xbase[t * n + r] = static_cast<std::int32_t>(r * d);
+    }
   }
   return xbase;
 }
 
-/// The scalar reference takes a precomputed offset table; the vector
-/// tiers compute contiguous offsets themselves (walk_compact's
-/// kContiguous path), so batched callers skip building the table when a
-/// vector tier resolved.
-bool kernel_needs_xbase(ForestIsa isa) {
+/// Whether `isa` runs the compaction walk (and so needs active-list
+/// scratch); off x86 every tier falls back to the scalar reference.
+bool is_vector_tier(ForestIsa isa) {
 #if defined(__x86_64__) || defined(__i386__)
-  return isa == ForestIsa::kScalar;
+  return isa != ForestIsa::kScalar;
 #else
   (void)isa;
-  return true;
+  return false;
 #endif
+}
+
+/// The scalar reference takes a precomputed offset table; the vector
+/// tiers compute contiguous offsets themselves for a one-tree tile
+/// (walk_active's kContiguous path), so batched callers skip building the
+/// table when a vector tier resolved and each tile holds one tree.
+bool kernel_needs_xbase(ForestIsa isa, std::size_t trees_per_tile) {
+  return !is_vector_tier(isa) || trees_per_tile > 1;
+}
+
+void require_traversable(const Matrix& x) {
+  HPCP_REQUIRE(x.data().size() <=
+                   static_cast<std::size_t>(
+                       (std::numeric_limits<std::int32_t>::max)()),
+               "matrix too large for flat traversal");
 }
 
 }  // namespace
@@ -298,19 +305,41 @@ void FlatForest::check_width(std::size_t width) const {
   HPCP_REQUIRE(width >= min_width_, "feature width mismatch");
 }
 
-void FlatForest::walk_tree(std::size_t t, const double* xd,
+std::size_t FlatForest::trees_per_tile(std::size_t n) const noexcept {
+  const std::size_t trees = num_trees();
+  if (n == 0 || trees == 0 || n > kTileEntries / trees) return 1;
+  return trees;
+}
+
+void FlatForest::walk_tile(std::size_t t0, std::size_t nt, const double* xd,
                            const std::int32_t* xbase, std::int32_t d,
                            std::int32_t* cur, std::size_t n, ForestIsa isa,
                            std::int64_t* act) const {
   const Node* nodes = nodes_.data();
-  const std::int32_t root = roots_[t];
+  // Seeding: every slot starts at its tree's root, so cur reports the
+  // root of a single-leaf tree without a walk; the vector tiers' active
+  // list gets one (root, slot) entry per slot whose root is internal.
+  // Slots that leave the list have had their final leaf written to cur
+  // by the walk, so one scratch list serves every tile of a batch.
+  std::size_t m = 0;
+  for (std::size_t tt = 0; tt < nt; ++tt) {
+    const std::int32_t root = roots_[t0 + tt];
+    std::int32_t* slots = cur + tt * n;
+    std::fill(slots, slots + n, root);
+    if (act == nullptr || nodes[root].feature < 0) continue;
+    const auto base = static_cast<std::uint32_t>(tt * n);
+    for (std::size_t r = 0; r < n; ++r) {
+      act[m++] = static_cast<std::int64_t>(root) << 32 |
+                 (base + static_cast<std::uint32_t>(r));
+    }
+  }
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case ForestIsa::kAvx2:
-      walk_avx2(nodes, xd, xbase, d, root, cur, n, act);
+      walk_avx2(nodes, xd, xbase, d, cur, act, m);
       return;
     case ForestIsa::kSse2:
-      walk_sse2(nodes, xd, xbase, d, root, cur, n, act);
+      walk_sse2(nodes, xd, xbase, d, cur, act, m);
       return;
 #else
     case ForestIsa::kAvx2:
@@ -319,40 +348,47 @@ void FlatForest::walk_tree(std::size_t t, const double* xd,
     case ForestIsa::kScalar:
       break;
   }
-  // kernel_needs_xbase guarantees xbase is populated on this path; the
-  // reference sweep revisits parked rows, so it needs every cur slot
-  // seeded with the root up front.
-  std::fill(cur, cur + n, root);
-  walk_scalar(nodes, xd, xbase, cur, n);
+  // kernel_needs_xbase guarantees xbase is populated on this path.
+  walk_scalar(nodes, xd, xbase, cur, nt * n);
   (void)d;
-  (void)act;
 }
 
-std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
+template <typename LeafFn>
+void FlatForest::walk_batch(const Matrix& x, LeafFn&& leaf) const {
   HPCP_REQUIRE(!empty(), "predict before build");
   check_width(x.cols());
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
+  require_traversable(x);
   const std::size_t n = x.rows();
   const auto d = static_cast<std::int32_t>(x.cols());
   const double* xd = x.data().data();
   const ForestIsa isa = resolve_forest_isa();
+  const std::size_t per_tile = trees_per_tile(n);
   std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
-  const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
-  // One active-list scratch buffer shared by every tree's walk; the
-  // vector kernels seed it (and cur) themselves, so there is no per-tree
-  // refill here.
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
-  std::int64_t* ap = act.empty() ? nullptr : act.data();
-  std::vector<double> acc(n, 0.0);
-  std::vector<std::int32_t> cur(n);
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    walk_tree(t, xd, xb, d, cur.data(), n, isa, ap);
-    for (std::size_t r = 0; r < n; ++r) acc[r] += nodes_[cur[r]].threshold;
+  if (kernel_needs_xbase(isa, per_tile)) {
+    xbase = make_xbase(per_tile, n, x.cols());
   }
+  const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
+  // One slot and one active-list scratch buffer shared by every tile.
+  std::vector<std::int32_t> cur(per_tile * n);
+  std::vector<std::int64_t> act(is_vector_tier(isa) ? per_tile * n : 0);
+  std::int64_t* ap = act.empty() ? nullptr : act.data();
+  for (std::size_t t0 = 0; t0 < num_trees(); t0 += per_tile) {
+    const std::size_t nt = std::min(per_tile, num_trees() - t0);
+    walk_tile(t0, nt, xd, xb, d, cur.data(), n, isa, ap);
+    // Tree-major within the tile, tiles in tree order: every row sees its
+    // leaves in tree order, the accumulation order of the per-row walk.
+    for (std::size_t tt = 0; tt < nt; ++tt) {
+      const std::int32_t* slots = cur.data() + tt * n;
+      for (std::size_t r = 0; r < n; ++r) {
+        leaf(r, nodes_[static_cast<std::size_t>(slots[r])].threshold);
+      }
+    }
+  }
+}
+
+std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
+  std::vector<double> acc(x.rows(), 0.0);
+  walk_batch(x, [&acc](std::size_t r, double p) { acc[r] += p; });
   // Divide (don't multiply by a reciprocal): bitwise identical to the
   // per-row reference walk, which the parity tests require.
   const auto trees = static_cast<double>(num_trees());
@@ -362,34 +398,14 @@ std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
 
 void FlatForest::predict_moments(const Matrix& x, std::span<double> sum,
                                  std::span<double> sum_sq) const {
-  HPCP_REQUIRE(!empty(), "predict before build");
-  check_width(x.cols());
   HPCP_REQUIRE(sum.size() == x.rows() && sum_sq.size() == x.rows(),
                "moment spans must match row count");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
-  const std::size_t n = x.rows();
-  const auto d = static_cast<std::int32_t>(x.cols());
-  const double* xd = x.data().data();
-  const ForestIsa isa = resolve_forest_isa();
-  std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
-  const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
   std::fill(sum.begin(), sum.end(), 0.0);
   std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
-  std::int64_t* ap = act.empty() ? nullptr : act.data();
-  std::vector<std::int32_t> cur(n);
-  for (std::size_t t = 0; t < num_trees(); ++t) {
-    walk_tree(t, xd, xb, d, cur.data(), n, isa, ap);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double p = nodes_[cur[r]].threshold;
-      sum[r] += p;
-      sum_sq[r] += p * p;
-    }
-  }
+  walk_batch(x, [&sum, &sum_sq](std::size_t r, double p) {
+    sum[r] += p;
+    sum_sq[r] += p * p;
+  });
 }
 
 void FlatForest::predict_row_moments(std::span<const double> features,
@@ -422,22 +438,18 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
   check_width(x.cols());
   HPCP_REQUIRE(out.size() == rows.size(), "output span must match row list");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
+  require_traversable(x);
   const std::size_t d = x.cols();
-  const double* xd = x.data().data();
   // Non-contiguous row subset: every kernel takes the offset table here.
   std::vector<std::int32_t> xbase(rows.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     xbase[k] = static_cast<std::int32_t>(rows[k] * d);
   }
   const ForestIsa isa = resolve_forest_isa();
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : rows.size());
+  std::vector<std::int64_t> act(is_vector_tier(isa) ? rows.size() : 0);
   std::vector<std::int32_t> cur(rows.size());
-  walk_tree(t, xd, xbase.data(), static_cast<std::int32_t>(d), cur.data(),
-            rows.size(), isa, act.empty() ? nullptr : act.data());
+  walk_tile(t, 1, x.data().data(), xbase.data(), static_cast<std::int32_t>(d),
+            cur.data(), rows.size(), isa, act.empty() ? nullptr : act.data());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     out[k] = nodes_[static_cast<std::size_t>(cur[k])].threshold;
   }
@@ -448,22 +460,18 @@ void FlatForest::accumulate_tree(std::size_t t, const Matrix& x, double scale,
   HPCP_REQUIRE(t < num_trees(), "tree index out of range");
   check_width(x.cols());
   HPCP_REQUIRE(acc.size() == x.rows(), "accumulator must match row count");
-  HPCP_REQUIRE(x.data().size() <=
-                   static_cast<std::size_t>(
-                       (std::numeric_limits<std::int32_t>::max)()),
-               "matrix too large for flat traversal");
+  require_traversable(x);
   const std::size_t n = x.rows();
-  const auto d = static_cast<std::int32_t>(x.cols());
-  const double* xd = x.data().data();
   const ForestIsa isa = resolve_forest_isa();
   std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa)) xbase = make_xbase(n, x.cols());
-  std::vector<std::int64_t> act(kernel_needs_xbase(isa) ? 0 : n);
+  if (kernel_needs_xbase(isa, 1)) xbase = make_xbase(1, n, x.cols());
+  std::vector<std::int64_t> act(is_vector_tier(isa) ? n : 0);
   std::vector<std::int32_t> cur(n);
-  walk_tree(t, xd, xbase.empty() ? nullptr : xbase.data(), d, cur.data(), n,
-            isa, act.empty() ? nullptr : act.data());
+  walk_tile(t, 1, x.data().data(), xbase.empty() ? nullptr : xbase.data(),
+            static_cast<std::int32_t>(x.cols()), cur.data(), n, isa,
+            act.empty() ? nullptr : act.data());
   for (std::size_t r = 0; r < n; ++r) {
-    acc[r] += scale * nodes_[cur[r]].threshold;
+    acc[r] += scale * nodes_[static_cast<std::size_t>(cur[r])].threshold;
   }
 }
 

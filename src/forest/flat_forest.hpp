@@ -22,17 +22,22 @@
 /// A leaf stores its prediction in the threshold slot (feature < 0), so
 /// the hot loop touches a single array.
 ///
-/// Batched prediction walks *all rows level-by-level*: every pass
-/// advances every still-active row one level, so the upper tree levels —
-/// shared by all rows — stay cache-resident while the row block streams
-/// through. The walk ships as three bitwise-identical kernels selected at
-/// runtime per batch (forest_isa.hpp; `HPCP_FOREST_ISA` forces a tier):
-/// a scalar reference that sweeps the whole block, and SSE2/AVX2 tiers
-/// that keep a compacted active list of (node, row) entries so rows
-/// already parked at a leaf are never revisited — on unbalanced
-/// unlimited-depth trees that halves the visit count, which is where the
-/// measured speedup comes from (see flat_forest.cpp for the kernel
+/// Batched prediction walks *tiles* of (tree, row) slots level by level:
+/// every pass advances every still-active slot one level. A batch has one
+/// of two shapes (trees_per_tile). A small batch, at most kTileEntries
+/// slots (the cold serving path predicts one row per call), is one tile
+/// of every tree over every row, so the trees' independent node-load
+/// chains overlap their cache misses instead of running one tree after
+/// another; a larger batch walks one tree across the whole batch, so that
+/// tree's upper levels stay cache-resident while the rows stream through.
+/// The walk ships as three bitwise-identical kernels selected at runtime
+/// per batch (forest_isa.hpp; `HPCP_FOREST_ISA` forces a tier): a scalar
+/// reference that sweeps the whole tile, and SSE2/AVX2 tiers that keep a
+/// compacted active list of (node, slot) entries so slots already parked
+/// at a leaf are never revisited — on unbalanced unlimited-depth trees
+/// that halves the visit count (see flat_forest.cpp for the kernel
 /// anatomy and the rejected alternatives, hardware gathers included).
+/// Leaves are summed per row in tree order whatever the shape.
 /// Parity is a contract, not an aspiration: the parity suite and bench
 /// compare scalar vs SIMD predictions bit for bit, NaN thresholds
 /// included.
@@ -81,6 +86,15 @@ class FlatForest {
     return min_width_;
   }
 
+  /// Entry budget of the all-trees tile: a batch of n rows is one tile of
+  /// every tree when n * num_trees() <= kTileEntries.
+  static constexpr std::size_t kTileEntries = 1024;
+
+  /// Trees per tile for a batch of n rows: num_trees() when the batch
+  /// fits one tile of kTileEntries slots, else 1 (one tree at a time
+  /// across the whole batch).
+  [[nodiscard]] std::size_t trees_per_tile(std::size_t n) const noexcept;
+
   /// Mean per-tree prediction for every row of x (the ensemble average).
   [[nodiscard]] std::vector<double> predict_mean(const Matrix& x) const;
 
@@ -113,19 +127,27 @@ class FlatForest {
   void check_width(std::size_t width) const;
   void append_tree(std::span<const RegressionTree::Node> nodes);
 
-  /// Walks rows through tree t, leaving every cur[k] at its leaf; the
-  /// kernels seed the traversal from the tree root themselves, so cur
-  /// needs no prefill by the caller. Row k's features sit at
-  /// xd + xbase[k] when an offset table is given; a null xbase means the
-  /// rows are contiguous (offset k * d) and is only valid for the vector
-  /// tiers — the scalar reference always takes the table
+  /// Walks the tile of trees [t0, t0 + nt) over n rows, leaving slot
+  /// tt * n + r of cur (>= nt * n entries) at tree t0 + tt's leaf for row
+  /// r; the walk seeds every slot from its tree's root itself, so cur
+  /// needs no prefill by the caller. Slot s reads its features at
+  /// xd + xbase[s] when an offset table is given; a null xbase means one
+  /// tree over contiguous rows (offset s * d) and is only valid for the
+  /// vector tiers — the scalar reference always takes the table
   /// (kernel_needs_xbase in flat_forest.cpp). `act` is the vector tiers'
-  /// active-list scratch (>= n entries, reusable across trees); it may
-  /// be null for the scalar tier.
-  void walk_tree(std::size_t t, const double* xd,
+  /// active-list scratch (>= nt * n entries, reusable across tiles); it
+  /// is null for the scalar tier.
+  void walk_tile(std::size_t t0, std::size_t nt, const double* xd,
                  const std::int32_t* xbase, std::int32_t d,
                  std::int32_t* cur, std::size_t n, ForestIsa isa,
                  std::int64_t* act) const;
+
+  /// The batched walk behind predict_mean and predict_moments: walks
+  /// every row of x through every tree, tile by tile, and calls
+  /// leaf(row, value) for each (tree, row) pair, each row's leaves in
+  /// tree order.
+  template <typename LeafFn>
+  void walk_batch(const Matrix& x, LeafFn&& leaf) const;
 
   std::vector<Node> nodes_;
   std::vector<std::int32_t> roots_;  ///< tree t's nodes: [roots_[t], roots_[t+1])

@@ -3,11 +3,15 @@
 /// \file forest_isa.hpp
 /// Runtime instruction-set dispatch for the FlatForest traversal kernels.
 ///
-/// The batched tree walk ships in three builds of the same algorithm: a
-/// scalar reference, an SSE2 two-lane kernel, and an AVX2 four-lane
-/// gather kernel (flat_forest.cpp). All three are bitwise-identical by
-/// contract — same comparisons (`x <= threshold`, NaN thresholds send
-/// rows right under both scalar and `_CMP_LE_OQ` semantics), same leaf
+/// The batched tree walk ships in three builds (flat_forest.cpp): a
+/// scalar reference that sweeps every slot of a tile level by level, and
+/// SSE2 and AVX2 tiers of one active-list compaction walk, four entries
+/// per step with a pairwise `_mm_cmpnle_pd` compare (the AVX2 tier is the
+/// same code compiled for VEX encoding; hardware gathers and 4-wide
+/// compares were measured slower and rejected). All three are
+/// bitwise-identical by contract — same comparisons (go left iff
+/// `x <= threshold`; `_mm_cmpnle_pd` is its exact negation, so a NaN
+/// threshold or NaN feature sends the row right in every tier), same leaf
 /// values, same accumulation order — so which one runs is purely a speed
 /// decision and every caller inherits it invisibly.
 ///
@@ -21,8 +25,8 @@ namespace hpcp {
 
 enum class ForestIsa {
   kScalar,  ///< portable reference walker
-  kSse2,    ///< two rows per step, vector compare/select
-  kAvx2,    ///< four rows per step, hardware gathers
+  kSse2,    ///< compaction walk, SSE2 encoding
+  kAvx2,    ///< the same compaction walk, AVX2 (VEX) encoding
 };
 
 /// Kernel the next FlatForest batch call will run: env override clamped

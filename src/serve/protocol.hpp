@@ -61,6 +61,12 @@ inline constexpr const char* kErrDeadline = "deadline";       ///< request deadl
 /// contract like any other request-shaped error.
 inline constexpr const char* kErrUnknownModel = "unknown-model";
 
+/// The served model's answer is not a finite number (for example, a
+/// calibration factor that overflowed). Like kErrUnknownModel it is a pure
+/// function of the request and the model, so it participates in the
+/// byte-identity contract; the answer is never cached.
+inline constexpr const char* kErrNumeric = "numeric";
+
 /// One parsed request line.
 struct Request {
   enum class Cmd {

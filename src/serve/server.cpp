@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -362,9 +363,20 @@ void Server::resolve(std::vector<Pending>* batch) {
     }
     // Cache inserts happen serially in request order (across groups, not
     // group order) — eviction order is part of the determinism contract.
+    // A non-finite answer gets a typed error instead of a JSON null under
+    // "ok":true, and stays out of the cache.
     for (const std::size_t row : compute_rows) {
       const Slot& slot = slots[row];
-      const Pending& p = (*batch)[row];
+      Pending& p = (*batch)[row];
+      if (!std::all_of(slot.predictions.begin(), slot.predictions.end(),
+                       [](double v) { return std::isfinite(v); })) {
+        obs::count("serve.numeric_errors");
+        p.trace.code = kErrNumeric;
+        p.response = render_error(
+            p.req.id_json, slot.version,
+            {kErrNumeric, "prediction is not a finite number", 0});
+        continue;
+      }
       for (std::size_t s = 0; s < slot.scales.size(); ++s) {
         cache_.insert(slot.tenant, slot.version, p.req.params,
                       slot.scales[s], slot.predictions[s]);

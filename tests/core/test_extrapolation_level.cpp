@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "src/common/rng.hpp"
 
@@ -160,6 +163,70 @@ TEST(ExtrapolationLevel, PredictAtScaleInterpolatesAndExtrapolates) {
   // Monotone decreasing continuation for a perfectly scaling config.
   EXPECT_GT(level.predict_at_scale(curves.row(0), 32),
             level.predict_at_scale(curves.row(0), 128));
+}
+
+/// predict_at_scales against one predict_at_scale call per scale, and
+/// its returned cluster against assign_cluster.
+void expect_multi_scale_parity(const ExtrapolationLevel& level,
+                               std::span<const double> curve) {
+  const std::vector<std::size_t> scales{256, 3, 64, 3, 1, 1000, 64};
+  std::vector<double> out(scales.size());
+  EXPECT_EQ(level.predict_at_scales(curve, scales, out),
+            level.assign_cluster(curve));
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(
+                  level.predict_at_scale(curve, scales[i])))
+        << "scale " << scales[i];
+  }
+  const auto targets = level.predict(curve);
+  ASSERT_EQ(targets.size(), level.target_scales().size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(targets[t]),
+              std::bit_cast<std::uint64_t>(level.predict_at_scale(
+                  curve, level.target_scales()[t])));
+  }
+}
+
+TEST(ExtrapolationLevel, PredictAtScalesMatchesPerScaleCalls) {
+  Rng data_rng(31);
+  const Matrix curves = make_family(30, 0.0, data_rng);
+  const Matrix comm = make_family(30, 2.0, data_rng);
+  Matrix both(60, kSmall.size());
+  for (std::size_t r = 0; r < 30; ++r) {
+    both.set_row(r, curves.row(r));
+    both.set_row(30 + r, comm.row(r));
+  }
+  for (const bool multitask : {true, false}) {
+    ExtrapolationLevel level({.num_clusters = 2, .multitask = multitask});
+    Rng rng(32);
+    level.fit(both, kSmall, kTargets, rng);
+    for (std::size_t r = 0; r < both.rows(); r += 7) {
+      SCOPED_TRACE("multitask=" + std::to_string(multitask) +
+                   " row " + std::to_string(r));
+      expect_multi_scale_parity(level, both.row(r));
+    }
+    std::vector<double> short_out(1);
+    const std::vector<std::size_t> two{64, 256};
+    EXPECT_THROW((void)level.predict_at_scales(both.row(0), two, short_out),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ExtrapolationLevel, PredictAtScalesPowerLawRung) {
+  // Identical flat training curves leave every multitask support empty,
+  // so the cluster trains on the per-configuration power law; a sloped
+  // query curve then exercises its fit-once, evaluate-per-scale path.
+  Matrix flat(12, kSmall.size());
+  for (std::size_t r = 0; r < flat.rows(); ++r) {
+    for (std::size_t c = 0; c < flat.cols(); ++c) flat(r, c) = 7.0;
+  }
+  ExtrapolationLevel level({.num_clusters = 1});
+  Rng rng(33);
+  level.fit(flat, kSmall, kTargets, rng);
+  ASSERT_EQ(level.cluster_stage(0), FallbackStage::PerConfigOls);
+  const std::vector<double> sloped{40.0, 21.0, 11.5, 6.0, 3.5};
+  expect_multi_scale_parity(level, sloped);
 }
 
 TEST(ExtrapolationLevel, PredictionsArePositive) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <limits>
 
 #include "src/core/experiment.hpp"
@@ -11,6 +14,15 @@
 #include "src/platform/fault_injector.hpp"
 
 namespace hpcp {
+
+/// Reads TwoLevelModel's private per-cluster calibration factor.
+struct TwoLevelModelTestPeer {
+  static double calibration_factor(const TwoLevelModel& model,
+                                   std::size_t cluster) {
+    return model.calibration_factor(cluster);
+  }
+};
+
 namespace {
 
 ExperimentConfig small_config() {
@@ -351,6 +363,135 @@ TEST(TwoLevelModel, AmdahlPresetWhenPowerLawUnidentifiable) {
   ASSERT_EQ(pred.size(), 1u);
   EXPECT_GT(pred[0], 0.0);
   EXPECT_TRUE(std::isfinite(pred[0]));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// predict_curve_at_scales against its per-scale reference: the
+/// calibration factor of the curve's assigned cluster times one
+/// single-scale prediction per requested scale — over sorted, unsorted
+/// and repeated scale lists.
+void expect_per_scale_parity(const TwoLevelModel& model,
+                             std::span<const double> curve) {
+  const ExtrapolationLevel& level = model.extrapolation();
+  const double factor = TwoLevelModelTestPeer::calibration_factor(
+      model, level.assign_cluster(curve));
+  const std::vector<std::vector<std::size_t>> scale_sets{
+      {32, 64, 128, 256}, {256, 32, 64, 32, 1, 7, 256}, {48}};
+  for (const auto& scales : scale_sets) {
+    const auto got = model.predict_curve_at_scales(curve, scales);
+    ASSERT_EQ(got.size(), scales.size());
+    for (std::size_t i = 0; i < scales.size(); ++i) {
+      EXPECT_EQ(bits(got[i]),
+                bits(factor * level.predict_at_scale(curve, scales[i])))
+          << "scale " << scales[i];
+    }
+  }
+}
+
+/// Per-scale parity for the first test configurations, plus predict()
+/// against predict_curve_at_scales at the target scales.
+void expect_one_fit_parity(const TwoLevelModel& model, const Experiment& exp) {
+  for (std::size_t i = 0; i < 6; ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    const auto params = exp.test.configs.row(i);
+    const auto curve = model.interpolation().predict_curve(params);
+    expect_per_scale_parity(model, curve);
+    const auto pred = model.predict(params, {});
+    const auto at_targets = model.predict_curve_at_scales(
+        curve, model.extrapolation().target_scales());
+    ASSERT_EQ(pred.size(), at_targets.size());
+    for (std::size_t t = 0; t < pred.size(); ++t) {
+      EXPECT_EQ(bits(pred[t]), bits(at_targets[t]));
+    }
+  }
+}
+
+TEST(TwoLevelModel, OneFitMatchesPerScaleReference) {
+  const auto exp = make_experiment(small_config());
+  TwoLevelModel model;
+  Rng rng(41);
+  model.fit(exp.problem, rng);
+  expect_one_fit_parity(model, exp);
+}
+
+TEST(TwoLevelModel, OneFitMatchesPerScaleReferenceSingleTask) {
+  const auto exp = make_experiment(small_config());
+  TwoLevelOptions opts;
+  opts.extrapolation.multitask = false;
+  TwoLevelModel model(opts);
+  Rng rng(42);
+  model.fit(exp.problem, rng);
+  expect_one_fit_parity(model, exp);
+}
+
+TEST(TwoLevelModel, OneFitMatchesPerScaleReferenceCalibrated) {
+  const auto exp = make_experiment(small_config());
+  TwoLevelModel model;
+  Rng rng(43);
+  model.fit(exp.problem, rng);
+  for (std::size_t i = 0; i < 4; ++i) {
+    model.calibrate(exp.test.configs.row(i), 64,
+                    1.5 * exp.test.target_times(i, 1));
+  }
+  bool any_calibrated = false;
+  for (std::size_t c = 0; c < model.extrapolation().num_clusters(); ++c) {
+    any_calibrated = any_calibrated ||
+                     TwoLevelModelTestPeer::calibration_factor(model, c) != 1.0;
+  }
+  ASSERT_TRUE(any_calibrated);
+  expect_one_fit_parity(model, exp);
+}
+
+TEST(TwoLevelModel, OneFitMatchesPerScaleReferencePowerLawCluster) {
+  // Every training configuration runs in the same constant time, so the
+  // multitask lasso has nothing to select and the single cluster trains
+  // on the per-configuration power law.
+  ExtrapolationProblem problem;
+  problem.param_names = {"a", "b"};
+  problem.small_scales = {1, 2, 4, 8};
+  problem.target_scales = {32, 64};
+  problem.train_configs = Matrix(16, 2);
+  problem.train_small_times = Matrix(16, 4);
+  Rng data_rng(44);
+  for (std::size_t r = 0; r < 16; ++r) {
+    problem.train_configs(r, 0) = data_rng.uniform(1.0, 9.0);
+    problem.train_configs(r, 1) = data_rng.uniform(1.0, 9.0);
+    for (std::size_t s = 0; s < 4; ++s) problem.train_small_times(r, s) = 7.0;
+  }
+  TwoLevelOptions opts;
+  opts.extrapolation.num_clusters = 1;
+  TwoLevelModel model(opts);
+  Rng rng(45);
+  model.fit(problem, rng);
+  ASSERT_EQ(model.extrapolation().cluster_stage(0),
+            FallbackStage::PerConfigOls);
+  const std::vector<double> sloped{40.0, 21.0, 11.5, 6.0};
+  expect_per_scale_parity(model, sloped);
+}
+
+TEST(TwoLevelModel, ColdRowCostsOneAssignmentAndOneFit) {
+  const auto exp = make_experiment(small_config());
+  for (const bool multitask : {true, false}) {
+    TwoLevelOptions opts;
+    opts.extrapolation.multitask = multitask;
+    TwoLevelModel model(opts);
+    Rng rng(46);
+    model.fit(exp.problem, rng);
+    const auto curve =
+        model.interpolation().predict_curve(exp.test.configs.row(0));
+    const std::vector<std::size_t> scales{32, 64, 128, 256};
+    obs::global_metrics().reset_values();
+    obs::set_metrics_enabled(true);
+    (void)model.predict_curve_at_scales(curve, scales);
+    obs::set_metrics_enabled(false);
+    EXPECT_EQ(obs::global_metrics().counter("extrap.assign_cluster").value(),
+              1u)
+        << "multitask=" << multitask;
+    EXPECT_EQ(obs::global_metrics().counter("extrap.fit_curve").value(), 1u)
+        << "multitask=" << multitask;
+    obs::global_metrics().reset_values();
+  }
 }
 
 TEST(TwoLevelModel, TenPercentCorruptedHistoryStillTrainsEndToEnd) {

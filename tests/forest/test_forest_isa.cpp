@@ -245,7 +245,8 @@ TEST(ForestIsa, NanThresholdsAndNanFeaturesParity) {
   }
   const FlatForest flat = FlatForest::from_nodes(trees);
   // NaN thresholds in the trees AND NaN values in the rows: both must
-  // send rows right under scalar `<=` and SIMD `_CMP_LE_OQ` alike.
+  // send rows right under scalar `<=` and the vector tiers'
+  // `_mm_cmpnle_pd` (not-less-or-equal, true when unordered) alike.
   const Matrix x = random_matrix(rng, 50, 5, 0.15);
   expect_bitwise_parity(flat, x);
 }
@@ -263,6 +264,63 @@ TEST(ForestIsa, RaggedWidthForestParity) {
   EXPECT_EQ(flat.min_feature_width(), 7u);
   const Matrix x = random_matrix(rng, 33, 7, 0.0);
   expect_bitwise_parity(flat, x);
+}
+
+/// Every tier's batched mean and moments against the per-row walk
+/// (predict_row_moments), which sums one row's leaves in tree order.
+void expect_row_reference_parity(const FlatForest& flat, const Matrix& x) {
+  const auto trees = static_cast<double>(flat.num_trees());
+  for (const char* isa : {"scalar", "sse2", "avx2", "auto"}) {
+    const IsaGuard guard(isa);
+    const auto mean = flat.predict_mean(x);
+    std::vector<double> sum(x.rows()), sq(x.rows());
+    flat.predict_moments(x, sum, sq);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      double ref_sum = 0.0;
+      double ref_sq = 0.0;
+      flat.predict_row_moments(x.row(r), ref_sum, ref_sq);
+      ASSERT_EQ(bits(sum[r]), bits(ref_sum)) << "isa=" << isa << " row " << r;
+      ASSERT_EQ(bits(sq[r]), bits(ref_sq)) << "isa=" << isa << " row " << r;
+      ASSERT_EQ(bits(mean[r]), bits(ref_sum / trees))
+          << "isa=" << isa << " row " << r;
+    }
+  }
+}
+
+TEST(ForestIsa, TileShapesParity) {
+  constexpr std::size_t kBudget = FlatForest::kTileEntries;
+  for (const std::size_t num_trees : {100u, 300u}) {
+    Rng rng(96 + num_trees);
+    // Ragged feature widths (each tree splits on a prefix of 1..6
+    // features), NaN thresholds, and single-leaf trees: explicit ones
+    // plus random trees that stop at the root.
+    std::vector<Nodes> trees;
+    for (std::size_t t = 0; t < num_trees; ++t) {
+      if (t % 17 == 5) {
+        trees.push_back({leaf(0.5 * static_cast<double>(t))});
+      } else {
+        trees.push_back(random_tree(rng, 8, 1 + t % 6, /*nan_p=*/0.05));
+      }
+    }
+    const FlatForest flat = FlatForest::from_nodes(trees);
+    ASSERT_LE(flat.min_feature_width(), 6u);
+    // Two shapes: one tile of every tree while n * trees fits the
+    // budget, one tree at a time across the batch from the next row on.
+    const std::size_t one_tile = kBudget / num_trees;
+    EXPECT_EQ(flat.trees_per_tile(one_tile), num_trees);
+    EXPECT_EQ(flat.trees_per_tile(one_tile + 1), 1u);
+    EXPECT_EQ(flat.trees_per_tile(kBudget), 1u);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+          std::size_t{63}, std::size_t{64}, std::size_t{65}, one_tile,
+          one_tile + 1, std::size_t{512}, kBudget}) {
+      SCOPED_TRACE("trees=" + std::to_string(num_trees) +
+                   " n=" + std::to_string(n));
+      const Matrix x = random_matrix(rng, n, 6, /*nan_p=*/0.05);
+      expect_row_reference_parity(flat, x);
+      expect_bitwise_parity(flat, x);
+    }
+  }
 }
 
 TEST(ForestIsa, MalformedTreesAreRejectedNotTraversed) {

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -24,6 +26,7 @@ namespace hpcp::serve {
 namespace {
 
 using fixture::default_server;
+using fixture::make_server;
 using fixture::predict_line;
 using fixture::trained;
 
@@ -194,6 +197,34 @@ TEST(ServeServer, StatsReportsCacheCounters) {
   EXPECT_NE(stats.find("\"requests\":2"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"cache_hits\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"cache_capacity\":128"), std::string::npos);
+}
+
+TEST(ServeServer, NonFinitePredictionIsATypedNumericErrorAndNotCached) {
+  // Calibrating over and over with the largest finite runtime, measured
+  // at a scale so large the raw prediction is tiny, drives the cluster's
+  // median log-ratio past log(DBL_MAX): the calibration factor, and with
+  // it every prediction for configurations of that cluster, overflows.
+  TwoLevelModel model = trained().model;
+  const auto params = trained().exp.test.configs.row(0);
+  for (int i = 0; i < 200; ++i) {
+    model.calibrate(params, std::size_t{1} << 30,
+                    std::numeric_limits<double>::max());
+  }
+  const std::vector<std::size_t> scale{64};
+  ASSERT_FALSE(std::isfinite(model.predict_scaling_curve(params, scale)[0]));
+
+  const auto server = make_server({{registry::kDefaultTenant, &model}});
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const std::string response = server->handle_line(predict_line(0, "[64]"));
+    EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+    EXPECT_NE(response.find("\"code\":\"numeric\""), std::string::npos)
+        << response;
+    EXPECT_EQ(response.find("null"), std::string::npos) << response;
+  }
+  // Neither answer was cached: both requests missed.
+  const std::string stats = server->handle_line(R"({"cmd":"stats"})");
+  EXPECT_NE(stats.find("\"cache_hits\":0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"cache_entries\":0"), std::string::npos) << stats;
 }
 
 /// The determinism contract, in-process: one replay, many configurations.
