@@ -17,13 +17,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/serialize.hpp"
 #include "src/core/two_level_model.hpp"
 
 namespace {
@@ -41,9 +41,10 @@ std::string fit_once(const hpcp::ExtrapolationProblem& problem,
   TwoLevelModel model{hpcp::TwoLevelOptions{}};
   Rng rng(42);
   model.fit_checked(problem, rng, {.threads = threads}).value_or_throw();
-  std::ostringstream archive;
-  model.save(archive);
-  return archive.str();
+  std::string archive;
+  hpcp::Serializer out(archive);
+  model.save(out);
+  return archive;
 }
 
 void write_json(const std::string& path, bool short_mode,

@@ -360,7 +360,7 @@ void write_json(const std::string& path, bool short_mode,
                 double throughput_speedup, double overload_speedup,
                 double deadline_speedup, double conn4_speedup,
                 double conn16_speedup, double obs_on_vs_off,
-                double mmap_load_speedup, double retrain_warm_speedup,
+                double retrain_vs_load, double retrain_warm_speedup,
                 bool byte_identical,
                 bool byte_identical_overload, bool byte_identical_concurrent,
                 bool byte_identical_obs, bool byte_identical_registry) {
@@ -413,11 +413,11 @@ void write_json(const std::string& path, bool short_mode,
   // Observability tax: median on/off wall-clock ratio of the nocache
   // replay; the regression gate caps this with --require-max.
   out << "    \"obs_on_vs_off\": " << obs_on_vs_off << ",\n";
-  // Registry cold start: sectioned binary archive (mmap open + binary
-  // parse) vs the legacy full text deserialize of the same model. The
-  // regression gate pins the acceptance floor (>= 5x).
-  out << "    \"mmap_load_vs_full_deserialize\": " << mmap_load_speedup
-      << ",\n";
+  // Registry cold start: a cold fit of the tenant's model vs loading it
+  // from its archive (mmap open + checksummed section parse). A tenant
+  // fault must stay several times cheaper than retraining the tenant; the
+  // regression gate pins the floor.
+  out << "    \"retrain_cold_vs_model_load\": " << retrain_vs_load << ",\n";
   // Warm-started candidate fit (prior split structure reused, node values
   // recomputed) vs the cold fit of the same log prefix — the payoff of
   // the continuous-learning warm chain. Gated at >= 1.3x on capable hosts.
@@ -430,7 +430,7 @@ void write_json(const std::string& path, bool short_mode,
   out << "    \"throughput_t8_vs_t1\": {\"min_cores\": 2},\n";
   out << "    \"concurrent_4conn_vs_1conn\": {\"min_cores\": 4},\n";
   out << "    \"concurrent_16conn_vs_1conn\": {\"min_cores\": 4},\n";
-  out << "    \"mmap_load_vs_full_deserialize\": {\"min_cores\": 2},\n";
+  out << "    \"retrain_cold_vs_model_load\": {\"min_cores\": 2},\n";
   out << "    \"retrain_shadow_vs_cold\": {\"min_cores\": 2}\n";
   out << "  },\n";
   out << "  \"determinism\": {\n";
@@ -449,14 +449,14 @@ void write_json(const std::string& path, bool short_mode,
   std::printf("\nspeedup: cache-hit p50 = %.2fx, throughput t8/t1 = %.2fx, "
               "overload-shed = %.2fx, deadline = %.2fx,\n"
               "         4conn/1conn = %.2fx, 16conn/1conn = %.2fx, "
-              "obs on/off = %.4fx, mmap-load = %.2fx "
+              "obs on/off = %.4fx, retrain/load = %.2fx "
               "(hardware_concurrency=%zu)\n"
               "determinism: replay responses %s, shed replay %s, "
               "concurrent replay %s, obs replay %s, registry replay %s\n"
               "wrote %s\n",
               cache_speedup, throughput_speedup, overload_speedup,
               deadline_speedup, conn4_speedup, conn16_speedup,
-              obs_on_vs_off, mmap_load_speedup, hw,
+              obs_on_vs_off, retrain_vs_load, hw,
               byte_identical ? "byte-identical" : "DIFFER",
               byte_identical_overload ? "byte-identical" : "DIFFER",
               byte_identical_concurrent ? "byte-identical" : "DIFFER",
@@ -599,27 +599,20 @@ int main(int argc, char** argv) {
     (void)run_replay(model_store, deadline_opts(), replay);
   }));
 
-  // Registry cold start: the same fitted model published once as a legacy
-  // text archive and once as a sectioned binary archive, then loaded
-  // end-to-end (open + parse to a usable TwoLevelModel). The archive path
-  // mmaps the file and binary-parses one checksummed section, the text
-  // path re-tokenises the whole serialization — their ratio is the
-  // mmap_load_vs_full_deserialize gate. archive_open_mmap isolates the
+  // Registry cold start: the fitted model published as a sectioned
+  // archive, then loaded end-to-end (mmap open + one checksummed section
+  // parse to a usable TwoLevelModel). retrain_cold over this case is the
+  // retrain_cold_vs_model_load gate. archive_open_mmap isolates the
   // open-and-validate step (what a registry listing pays per archive).
   const auto bench_dir =
       std::filesystem::temp_directory_path() / "hpcp_bench_serve";
   std::filesystem::remove_all(bench_dir);
   std::filesystem::create_directories(bench_dir);
-  const std::string text_path = (bench_dir / "model.txt").string();
   const std::string archive_path = (bench_dir / "model.hpcp").string();
-  model.save_file(text_path);
   hpcp::registry::write_model_archive(
       archive_path, model, {.tenant = "bench", .version = 1})
       .value_or_throw();
   const std::size_t load_reps = short_mode ? 20 : 50;
-  cases.push_back(run_case("model_load_text", load_reps, [&] {
-    (void)hpcp::registry::load_model_any(text_path).value_or_throw();
-  }));
   cases.push_back(run_case("model_load_archive", load_reps, [&] {
     (void)hpcp::registry::load_model_any(archive_path).value_or_throw();
   }));
@@ -882,8 +875,8 @@ int main(int argc, char** argv) {
                                      find_case("replay_concurrent_4conn"));
   const double conn16_speedup = ratio(find_case("replay_1conn"),
                                       find_case("replay_concurrent_16conn"));
-  const double mmap_load_speedup =
-      ratio(find_case("model_load_text"), find_case("model_load_archive"));
+  const double retrain_vs_load =
+      ratio(find_case("retrain_cold"), find_case("model_load_archive"));
   const double retrain_warm_speedup =
       ratio(find_case("retrain_cold"), find_case("retrain_warm"));
   std::printf("retrain: warm refit %.2fx over cold fit\n",
@@ -894,7 +887,7 @@ int main(int argc, char** argv) {
                cases, cold, hot, load4, ingest_lat, cache_speedup,
                throughput_speedup, overload_speedup, deadline_speedup,
                conn4_speedup, conn16_speedup, obs_on_vs_off,
-               mmap_load_speedup, retrain_warm_speedup,
+               retrain_vs_load, retrain_warm_speedup,
                /*byte_identical=*/true, byte_identical_overload,
                byte_identical_concurrent, byte_identical_obs,
                byte_identical_registry);

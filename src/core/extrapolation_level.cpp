@@ -579,16 +579,34 @@ ExtrapolationLevel ExtrapolationLevel::load(Deserializer& in) {
   level.small_scales_ = in.read_sizes();
   level.target_scales_ = in.read_sizes();
   level.clustering_.centroids = Matrix::load(in);
-  level.cluster_supports_.resize(in.read_size());
-  for (auto& support : level.cluster_supports_) support = in.read_sizes();
+  // A support is at least its u64 count.
+  level.cluster_supports_.resize(in.read_count(sizeof(std::uint64_t)));
+  for (auto& support : level.cluster_supports_) {
+    support = in.read_sizes();
+    for (const std::size_t j : support) {
+      Deserializer::check(j < level.basis_.size(),
+                          "support index outside the scaling basis");
+    }
+  }
   level.cluster_lambdas_ = in.read_doubles();
   const auto stage_codes = in.read_sizes();
   level.cluster_stages_.reserve(stage_codes.size());
   for (const std::size_t code : stage_codes) {
-    HPCP_REQUIRE(code <= static_cast<std::size_t>(FallbackStage::AmdahlPreset),
-                 "corrupt archive: unknown fallback stage");
+    Deserializer::check(
+        code <= static_cast<std::size_t>(FallbackStage::AmdahlPreset),
+        "unknown fallback stage");
     level.cluster_stages_.push_back(static_cast<FallbackStage>(code));
   }
+  // One centroid, support, λ and stage per cluster; a centroid is a
+  // normalised small-scale curve.
+  const std::size_t k = level.clustering_.k();
+  Deserializer::check(level.cluster_supports_.size() == k &&
+                          level.cluster_lambdas_.size() == k &&
+                          level.cluster_stages_.size() == k,
+                      "per-cluster lists do not match the centroid count");
+  Deserializer::check(k == 0 || level.clustering_.centroids.cols() ==
+                                    level.small_scales_.size(),
+                      "centroid width does not match the small-scale count");
   if (level.fitted_) {
     level.design_ = level.basis_.design(level.small_scales_);
   }

@@ -132,7 +132,10 @@ InterpolationLevel InterpolationLevel::load(Deserializer& in) {
   InterpolationLevel level;
   level.log_target_ = in.read_bool();
   level.scales_ = in.read_sizes();
-  level.forests_.resize(in.read_size());
+  // A forest is at least its tag, feature count, OOB pair and tree count.
+  level.forests_.resize(in.read_count(5 * sizeof(std::uint64_t)));
+  Deserializer::check(level.forests_.size() == level.scales_.size(),
+                      "forest count does not match the scale count");
   for (auto& forest : level.forests_) forest = RandomForest::load(in);
   return level;
 }

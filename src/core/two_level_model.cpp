@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <optional>
 
 #include "src/common/check.hpp"
-#include "src/common/io.hpp"
 #include "src/common/stats.hpp"
 #include "src/obs/obs.hpp"
 
@@ -212,11 +210,6 @@ std::vector<double> TwoLevelModel::predict(
   return pred;
 }
 
-void TwoLevelModel::save(std::ostream& out) const {
-  Serializer s(out);
-  save(s);
-}
-
 void TwoLevelModel::save(Serializer& s) const {
   HPCP_REQUIRE(interpolation_.fitted() && extrapolation_.fitted(),
                "cannot save an unfitted model");
@@ -233,11 +226,6 @@ void TwoLevelModel::save(Serializer& s) const {
   for (const auto& ratios : calibration_log_ratios_) s.write(ratios);
 }
 
-TwoLevelModel TwoLevelModel::load(std::istream& in) {
-  Deserializer d(in);
-  return load(d);
-}
-
 TwoLevelModel TwoLevelModel::load(Deserializer& d) {
   d.expect_tag("hpcpredict-two-level-v1");
   TwoLevelModel model;
@@ -251,45 +239,15 @@ TwoLevelModel TwoLevelModel::load(Deserializer& d) {
   model.extrapolation_ = ExtrapolationLevel::load(d);
   model.opts_.log_interpolation_target = model.interpolation_.log_target();
   model.opts_.extrapolation = model.extrapolation_.options();
-  model.calibration_log_ratios_.resize(d.read_size());
+  // Calibration is kept per cluster, and every list is at least its count.
+  model.calibration_log_ratios_.resize(d.read_count(sizeof(std::uint64_t)));
+  Deserializer::check(model.calibration_log_ratios_.size() ==
+                          model.extrapolation_.num_clusters(),
+                      "calibration lists do not match the cluster count");
   for (auto& ratios : model.calibration_log_ratios_) {
     ratios = d.read_doubles();
   }
   return model;
-}
-
-void TwoLevelModel::save_file(const std::string& path) const {
-  save_file_checked(path).value_or_throw();
-}
-
-Expected<void> TwoLevelModel::save_file_checked(
-    const std::string& path) const {
-  return atomic_write_file(path,
-                           [this](std::ostream& out) { save(out); });
-}
-
-TwoLevelModel TwoLevelModel::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open model file: " + path);
-  return load(in);
-}
-
-Expected<TwoLevelModel> TwoLevelModel::load_checked(std::istream& in) {
-  // The deserializer throws on truncation, tag mismatches, and malformed
-  // tokens; archives arrive from outside the process, so those surface as
-  // typed errors here rather than exceptions.
-  try {
-    return load(in);
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::BadData, e.what(), "model archive"};
-  }
-}
-
-Expected<TwoLevelModel> TwoLevelModel::load_file_checked(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error{ErrorCode::Io, "cannot open model file", path};
-  return load_checked(in);
 }
 
 std::vector<PredictionInterval> TwoLevelModel::predict_with_uncertainty(

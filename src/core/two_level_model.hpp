@@ -167,37 +167,13 @@ class TwoLevelModel final : public ExtrapolationModel {
     return opts_;
   }
 
-  /// Persist the fitted model ("train once, predict later"). The archive
+  /// Persist the fitted model ("train once, predict later"). The model
   /// carries everything the prediction path needs — forests, clustering,
-  /// scaling-law supports, calibration — but not fit-time options.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static TwoLevelModel load(std::istream& in);
-  /// Codec-agnostic persistence: the stream overloads above wrap these
-  /// with the legacy text codec; the registry's binary archive path
-  /// (src/registry/) passes its own Serializer/Deserializer subclass and
-  /// reuses the identical field graph.
+  /// scaling-law supports, calibration — but not fit-time options. Files
+  /// are `.hpcp` archives: registry::write_model_archive and
+  /// registry::load_model_any (src/registry/archive.hpp) wrap these.
   void save(Serializer& s) const;
   [[nodiscard]] static TwoLevelModel load(Deserializer& d);
-  /// Atomic on-disk publish (temp file + fsync + rename): a crash or I/O
-  /// failure mid-save leaves the previous archive at `path` intact and
-  /// loadable, never a torn file. Throwing wrapper over save_file_checked.
-  void save_file(const std::string& path) const;
-  [[nodiscard]] static TwoLevelModel load_file(const std::string& path);
-
-  /// Non-throwing load for archives at a trust boundary (files on disk,
-  /// bytes off the network): truncated, corrupt, or wrong-format streams
-  /// come back as a typed BadData error instead of an exception;
-  /// load_file_checked reports an unopenable path as Io.
-  [[nodiscard]] static Expected<TwoLevelModel> load_checked(std::istream& in);
-  [[nodiscard]] static Expected<TwoLevelModel> load_file_checked(
-      const std::string& path);
-
-  /// Non-throwing save for long-lived processes (the serving retrain
-  /// path): an unwritable directory or full disk comes back as a typed Io
-  /// error instead of an exception, and the destination archive is either
-  /// fully replaced or untouched.
-  [[nodiscard]] Expected<void> save_file_checked(
-      const std::string& path) const;
 
  private:
   /// The parity tests compute the per-scale reference with the private

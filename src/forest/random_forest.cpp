@@ -196,7 +196,8 @@ RandomForest RandomForest::load(Deserializer& in) {
   const bool has_oob = in.read_bool();
   const double oob = in.read_double();
   if (has_oob) forest.oob_mse_ = oob;
-  forest.trees_.resize(in.read_size());
+  // A tree is at least its tag, node count and importance count.
+  forest.trees_.resize(in.read_count(4 * sizeof(std::uint64_t)));
   for (auto& tree : forest.trees_) tree = RegressionTree::load(in);
   forest.flat_ = FlatForest::build(forest.trees_);
   return forest;

@@ -470,7 +470,8 @@ void RegressionTree::save(Serializer& out) const {
 RegressionTree RegressionTree::load(Deserializer& in) {
   in.expect_tag("tree");
   RegressionTree tree;
-  tree.nodes_.resize(in.read_size());
+  // A node is three int64 links and two doubles.
+  tree.nodes_.resize(in.read_count(5 * sizeof(std::uint64_t)));
   for (Node& n : tree.nodes_) {
     n.left = static_cast<std::int32_t>(in.read_int());
     n.right = static_cast<std::int32_t>(in.read_int());

@@ -160,8 +160,11 @@ Matrix Matrix::load(Deserializer& in) {
   m.rows_ = in.read_size();
   m.cols_ = in.read_size();
   m.data_ = in.read_doubles();
-  HPCP_REQUIRE(m.data_.size() == m.rows_ * m.cols_,
-               "matrix archive size mismatch");
+  // Divide, not multiply: a crafted rows × cols can overflow.
+  Deserializer::check(m.cols_ == 0 ? m.data_.empty()
+                                   : m.data_.size() % m.cols_ == 0 &&
+                                         m.data_.size() / m.cols_ == m.rows_,
+                      "matrix shape does not match its data");
   return m;
 }
 

@@ -7,11 +7,11 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <ostream>
+#include <string_view>
 
 #include "src/common/io.hpp"
-#include "src/registry/binary_codec.hpp"
+#include "src/common/serialize.hpp"
 
 namespace hpcp::registry {
 
@@ -79,14 +79,6 @@ std::size_t ModelArchive::file_bytes() const noexcept {
 
 const unsigned char* ModelArchive::bytes() const noexcept {
   return mapping_ != nullptr ? mapping_->data : nullptr;
-}
-
-bool ModelArchive::is_archive_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[sizeof(kArchiveMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kArchiveMagic, sizeof(magic)) == 0;
 }
 
 Expected<ModelArchive> ModelArchive::open(const std::string& path) {
@@ -186,7 +178,8 @@ Expected<ModelArchive> ModelArchive::open(const std::string& path) {
     return bad("meta section checksum mismatch", path);
   }
   try {
-    BinaryDeserializer d(meta_bytes, static_cast<std::size_t>(meta->size));
+    Deserializer d(std::string_view(reinterpret_cast<const char*>(meta_bytes),
+                                    static_cast<std::size_t>(meta->size)));
     d.expect_tag("hpcp-archive-meta-v1");
     archive.meta_.tenant = d.read_string();
     archive.meta_.version = static_cast<std::uint64_t>(d.read_size());
@@ -216,7 +209,8 @@ Expected<TwoLevelModel> ModelArchive::load_model() const {
     return bad("model section checksum mismatch", path_);
   }
   try {
-    BinaryDeserializer d(payload, size);
+    Deserializer d(
+        std::string_view(reinterpret_cast<const char*>(payload), size));
     TwoLevelModel loaded = TwoLevelModel::load(d);
     if (d.consumed() != size) {
       return bad("model section has trailing bytes", path_);
@@ -232,20 +226,14 @@ Expected<void> write_model_archive(const std::string& path,
                                    const ArchiveMeta& meta) {
   // Build both payloads in memory first: the section table needs offsets
   // and checksums up front, and atomic_write_file wants one writer pass.
-  std::ostringstream meta_stream(std::ios::binary);
-  {
-    BinarySerializer s(meta_stream);
-    s.tag("hpcp-archive-meta-v1");
-    s.write(meta.tenant);
-    s.write(static_cast<std::size_t>(meta.version));
-  }
-  std::ostringstream model_stream(std::ios::binary);
-  {
-    BinarySerializer s(model_stream);
-    model.save(s);
-  }
-  const std::string meta_bytes = meta_stream.str();
-  const std::string model_bytes = model_stream.str();
+  std::string meta_bytes;
+  Serializer meta_out(meta_bytes);
+  meta_out.tag("hpcp-archive-meta-v1");
+  meta_out.write(meta.tenant);
+  meta_out.write(static_cast<std::size_t>(meta.version));
+  std::string model_bytes;
+  Serializer model_out(model_bytes);
+  model.save(model_out);
 
   struct Section {
     const char* name;
@@ -280,12 +268,9 @@ Expected<void> write_model_archive(const std::string& path,
 }
 
 Expected<TwoLevelModel> load_model_any(const std::string& path) {
-  if (ModelArchive::is_archive_file(path)) {
-    auto archive = ModelArchive::open(path);
-    if (!archive) return archive.error();
-    return archive->load_model();
-  }
-  return TwoLevelModel::load_file_checked(path);
+  auto archive = ModelArchive::open(path);
+  if (!archive) return archive.error();
+  return archive->load_model();
 }
 
 }  // namespace hpcp::registry

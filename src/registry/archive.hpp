@@ -23,8 +23,8 @@
 ///   | section payloads ("meta", "model", ...)                      |
 ///   +--------------------------------------------------------------+
 ///
-///   "meta"   tenant name + registry version (binary codec)
-///   "model"  the full model graph through BinarySerializer
+///   "meta"   tenant name + registry version (src/common/serialize.hpp)
+///   "model"  the full model graph through the same codec
 ///
 /// Opening an archive mmaps the file and validates only the header and
 /// section table — O(pages touched), not a full deserialize — so registry
@@ -32,9 +32,8 @@
 /// is. `load_model()` then checksums and parses just the "model" section.
 /// When mmap is unavailable (exotic filesystems, resource limits) the
 /// archive falls back to reading the file into memory; the parse is
-/// bit-identical either way, and loading a *legacy text* archive through
-/// `load_model_any` falls back to the serialize.cpp path (the property
-/// tests pin all three routes to bitwise-equal predictions).
+/// bit-identical either way. This is the only model file format: a file
+/// in the retired text format fails the magic check as BadData.
 ///
 /// Corruption — truncation, bit flips, a section table pointing past EOF
 /// ("short map") — surfaces as typed BadData/Io errors: every section is
@@ -71,10 +70,6 @@ class ModelArchive {
   /// Unopenable file -> Io; anything structurally wrong -> BadData.
   [[nodiscard]] static Expected<ModelArchive> open(const std::string& path);
 
-  /// True when the first bytes of `path` carry the archive magic (false
-  /// for legacy text archives, unreadable paths, short files).
-  [[nodiscard]] static bool is_archive_file(const std::string& path);
-
   [[nodiscard]] const ArchiveMeta& meta() const noexcept { return meta_; }
   [[nodiscard]] const std::vector<SectionInfo>& sections() const noexcept {
     return sections_;
@@ -83,8 +78,9 @@ class ModelArchive {
   [[nodiscard]] bool mapped() const noexcept;
   [[nodiscard]] std::size_t file_bytes() const noexcept;
 
-  /// Checksums the "model" section, then parses it with the binary codec.
-  /// A flipped bit or short section -> BadData, never UB.
+  /// Checksums the "model" section, then parses it. A flipped bit, a
+  /// short section or a count the section cannot hold -> BadData, never
+  /// UB.
   [[nodiscard]] Expected<TwoLevelModel> load_model() const;
 
  private:
@@ -102,12 +98,14 @@ class ModelArchive {
 
 /// Writes `model` + `meta` as a sectioned archive, atomically
 /// (tmp + fsync + rename): a crash mid-write never tears a live archive.
+/// A standalone model file (`train --save`) passes `{}`: tenant "",
+/// version 0.
 [[nodiscard]] Expected<void> write_model_archive(const std::string& path,
                                                  const TwoLevelModel& model,
                                                  const ArchiveMeta& meta);
 
-/// Loads a model from either format: a sectioned binary archive (by
-/// magic), or the legacy text archive via the serialize.cpp path.
+/// Opens `path` and loads its model: ModelArchive::open + load_model.
+/// Unopenable file -> Io; anything else wrong -> BadData.
 [[nodiscard]] Expected<TwoLevelModel> load_model_any(const std::string& path);
 
 }  // namespace hpcp::registry

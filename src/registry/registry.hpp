@@ -69,7 +69,7 @@ class Registry {
   /// Archives `model` as `tenant`'s next version and returns it.
   [[nodiscard]] Expected<std::uint64_t> add_model(const std::string& tenant,
                                                   const TwoLevelModel& model);
-  /// Imports a model file (either archive format) as the next version.
+  /// Imports a `.hpcp` model file (load_model_any) as the next version.
   [[nodiscard]] Expected<std::uint64_t> add_from_file(
       const std::string& tenant, const std::string& model_path);
 

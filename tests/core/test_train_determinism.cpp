@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
+#include "src/common/serialize.hpp"
 #include "src/core/experiment.hpp"
 #include "src/core/two_level_model.hpp"
 
@@ -46,9 +46,8 @@ FitResult fit_at(std::size_t threads) {
           .value_or_throw();
   FitResult result;
   result.reported_threads = report.threads;
-  std::ostringstream out;
+  Serializer out(result.archive);
   model.save(out);
-  result.archive = out.str();
   for (std::size_t i = 0; i < exp.test.size(); ++i) {
     result.predictions.push_back(model.predict(exp.test.configs.row(i), {}));
   }

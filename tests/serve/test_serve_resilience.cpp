@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/registry/archive.hpp"
 #include "src/registry/registry.hpp"
 #include "src/serve/server.hpp"
 #include "tests/serve/serve_fixture.hpp"
@@ -190,7 +191,7 @@ TEST(ServeResilience, TornArchiveFailsCleanlyAndOldFileStillLoads) {
   std::ofstream torn(archive(2), std::ios::binary | std::ios::trunc);
   torn.write(full.data(), static_cast<std::streamsize>(full.size() / 2));
   torn.close();
-  EXPECT_FALSE(TwoLevelModel::load_file_checked(archive(2)).has_value());
+  EXPECT_FALSE(registry::load_model_any(archive(2)).has_value());
 
   // The tenant reload reports a typed error; the old epoch keeps serving
   // at version 1, and health names the failure for this tenant only.

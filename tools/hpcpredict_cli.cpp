@@ -4,10 +4,11 @@
 ///   generate  Simulate an execution history for a bundled application and
 ///             write it as CSV (stand-in for exporting a site's logs).
 ///   train     Train the two-level model on a history CSV; optionally save
-///             it to a model file for later prediction. `fit` is an alias.
+///             it as a `.hpcp` model archive for later prediction (the
+///             file `registry add` publishes). `fit` is an alias.
 ///   predict   Predict target-scale runtimes of query configurations (CSV
 ///             in/out), with optional uncertainty intervals. Trains from
-///             --history, or loads a previously saved --model.
+///             --history, or loads a `.hpcp` model saved by `train --save`.
 ///   evaluate  Run the full model-vs-baselines comparison for a bundled
 ///             application and print the headline table.
 ///   validate  Check a history CSV without training: parse leniently,
@@ -207,7 +208,7 @@ int cmd_train(const Args& args) {
   const TwoLevelModel model = train_from_history(args, &param_names);
   if (args.has("save")) {
     const std::string path = args.get("save");
-    model.save_file(path);
+    registry::write_model_archive(path, model, {}).value_or_throw();
     std::cout << "saved model to " << path << '\n';
     // Record the parameter schema next to the model so predict can check it.
     CsvTable schema;
@@ -222,9 +223,9 @@ int cmd_predict(const Args& args) {
   std::vector<std::string> param_names;
   if (args.has("model")) {
     // Model files sit at a trust boundary: a truncated or corrupt archive
-    // must come back as a clean error message, not a crash.
-    model = TwoLevelModel::load_file_checked(args.get("model"))
-                .value_or_throw();
+    // (or a file in the retired text format) must come back as a clean
+    // error message, not a crash.
+    model = registry::load_model_any(args.get("model")).value_or_throw();
     param_names =
         csv_read_file(args.get("model") + ".schema.csv").header;
     std::cout << "loaded model " << args.get("model") << " ("
@@ -546,9 +547,9 @@ void print_usage() {
       "<generate|train|predict|evaluate|validate|serve|ingest> [--flags]\n"
       "  generate --app NAME --out FILE [--configs N] [--scales 1,2,4,8,16]\n"
       "           [--runs-per-point N] [--seed S]\n"
-      "  train    --history FILE --targets P1,P2,... [--save FILE]\n"
+      "  train    --history FILE --targets P1,P2,... [--save FILE.hpcp]\n"
       "           [--seed S] [--max-bins N] [--threads N]   (alias: fit)\n"
-      "  predict  (--model FILE | --history FILE --targets P1,P2,...)\n"
+      "  predict  (--model FILE.hpcp | --history FILE --targets P1,P2,...)\n"
       "           --queries FILE [--out FILE] [--uncertainty] [--seed S]\n"
       "           [--max-bins N] [--threads N]\n"
       "  evaluate --app NAME [--configs N] [--test-configs N]\n"
@@ -570,7 +571,7 @@ void print_usage() {
       "           the shadow gate (exit 3 = rejected), or rebuilds the\n"
       "           promoted model bit-for-bit from the log\n"
       "  registry ls  --root DIR\n"
-      "  registry add --root DIR --tenant NAME --model FILE\n"
+      "  registry add --root DIR --tenant NAME --model FILE.hpcp\n"
       "  registry gc  --root DIR [--keep N (default 1)]\n"
       "observability (all commands):\n"
       "  [--trace FILE] [--metrics-out FILE] [--metrics-text FILE]\n";
