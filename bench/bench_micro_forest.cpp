@@ -16,7 +16,8 @@
 /// Usage: bench_micro_forest [--short] [--json PATH]
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,7 +30,6 @@
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/forest/flat_forest.hpp"
-#include "src/forest/forest_isa.hpp"
 #include "src/forest/random_forest.hpp"
 #include "src/linear/matrix.hpp"
 #include "src/obs/obs.hpp"
@@ -94,12 +94,27 @@ std::vector<double> predict_per_row(const RandomForest& forest,
   return out;
 }
 
+/// Median of per-pair ratios a / b. Each pair times both sides back to
+/// back inside one slice of host noise, so frequency drift or steal time
+/// on a shared runner moves both sides of a pair together instead of
+/// randomly deflating one side's best-of.
+double median_ratio(std::vector<double> ratios) {
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+/// Derived ratios, each the median of back-to-back pairs (median_ratio).
+struct Ratios {
+  double fit_hist_vs_exact = 0.0;
+  double predict_batched_vs_per_row = 0.0;
+  double predict_n1_vs_per_row = 0.0;
+};
+
 void write_json(const std::string& path, bool short_mode, std::size_t rows,
                 std::size_t cols, std::size_t trees, std::size_t max_bins,
                 std::size_t threads, const std::vector<BenchCase>& cases,
-                double simd_speedup, double n1_vs_per_row,
-                bool obs_bitwise_identical,
-                bool simd_parity_bitwise) {
+                const Ratios& ratios, bool obs_bitwise_identical,
+                bool batched_parity_bitwise) {
   auto find = [&cases](const std::string& name) -> double {
     for (const auto& c : cases) {
       if (c.name == name) return c.seconds;
@@ -107,12 +122,6 @@ void write_json(const std::string& path, bool short_mode, std::size_t rows,
     return 0.0;
   };
   auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  const double fit_speedup = ratio(find("fit_exact_t1"), find("fit_hist_t1"));
-  const double predict_speedup =
-      ratio(find("predict_per_row"), find("predict_batched"));
-  // simd_speedup arrives precomputed: it is the median of back-to-back
-  // scalar/SIMD rep pairs (see the measurement loop in main), not a
-  // quotient of the two best-of case times printed above.
   // Off overhead is an A/A ratio: the same disabled-path workload measured
   // twice. Anything persistently above ~1.01 means the disabled spans are
   // no longer free. Traced overhead is informational (tracing on is allowed
@@ -136,9 +145,7 @@ void write_json(const std::string& path, bool short_mode, std::size_t rows,
   out << "    \"trees\": " << trees << ",\n";
   out << "    \"max_bins\": " << max_bins << ",\n";
   out << "    \"max_threads\": " << threads << ",\n";
-  out << "    \"hardware_concurrency\": " << threads << ",\n";
-  out << "    \"simd_isa\": \""
-      << hpcp::forest_isa_name(hpcp::detect_forest_isa()) << "\"\n";
+  out << "    \"hardware_concurrency\": " << threads << "\n";
   out << "  },\n";
   out << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -149,23 +156,18 @@ void write_json(const std::string& path, bool short_mode, std::size_t rows,
   }
   out << "  ],\n";
   out << "  \"speedups\": {\n";
-  out << "    \"fit_hist_vs_exact\": " << fit_speedup << ",\n";
-  out << "    \"predict_batched_vs_per_row\": " << predict_speedup << ",\n";
-  out << "    \"predict_simd_vs_scalar\": " << simd_speedup << "\n";
-  out << "  },\n";
-  // The SIMD ratio is only meaningful when the host resolves a vector
-  // ISA; the regression gate skips it (and its --require floor) when
-  // config.simd_isa is "scalar".
-  out << "  \"scaling\": {\n";
-  out << "    \"predict_simd_vs_scalar\": {\"requires_simd\": true}\n";
+  out << "    \"fit_hist_vs_exact\": " << ratios.fit_hist_vs_exact << ",\n";
+  out << "    \"predict_batched_vs_per_row\": "
+      << ratios.predict_batched_vs_per_row << "\n";
   out << "  },\n";
   // Recorded, not gated: the regression gate reads only `speedups`.
   out << "  \"info\": {\n";
-  out << "    \"predict_n1_vs_per_row\": " << n1_vs_per_row << "\n";
+  out << "    \"predict_n1_vs_per_row\": " << ratios.predict_n1_vs_per_row
+      << "\n";
   out << "  },\n";
   out << "  \"determinism\": {\n";
-  out << "    \"simd_parity_bitwise\": "
-      << (simd_parity_bitwise ? "true" : "false") << "\n";
+  out << "    \"batched_parity_bitwise\": "
+      << (batched_parity_bitwise ? "true" : "false") << "\n";
   out << "  },\n";
   out << "  \"obs\": {\n";
   out << "    \"off_overhead\": " << off_overhead << ",\n";
@@ -175,15 +177,13 @@ void write_json(const std::string& path, bool short_mode, std::size_t rows,
   out << "  }\n";
   out << "}\n";
   std::printf("\nspeedups: fit hist/exact = %.2fx, predict batched/per-row = "
-              "%.2fx, simd/scalar = %.2fx (%s, parity %s), "
-              "n=1 flat/per-row = %.2fx\n"
+              "%.2fx (parity %s), n=1 flat/per-row = %.2fx\n"
               "obs: off overhead = %.3fx (A/A), traced = %.2fx\n"
               "wrote %s\n",
-              fit_speedup, predict_speedup, simd_speedup,
-              hpcp::forest_isa_name(hpcp::detect_forest_isa()),
-              simd_parity_bitwise ? "bitwise" : "BROKEN", n1_vs_per_row,
-              off_overhead,
-              traced_overhead, path.c_str());
+              ratios.fit_hist_vs_exact, ratios.predict_batched_vs_per_row,
+              batched_parity_bitwise ? "bitwise" : "BROKEN",
+              ratios.predict_n1_vs_per_row, off_overhead, traced_overhead,
+              path.c_str());
 }
 
 }  // namespace
@@ -205,10 +205,8 @@ int main(int argc, char** argv) {
 
   // Full mode is the acceptance workload from DESIGN.md "Performance";
   // short mode shrinks it for the CI smoke run. The row count keeps each
-  // unlimited-depth tree (~1.3k nodes at 1024 rows) L2-resident: the
-  // scalar-vs-SIMD ratio is an algorithmic contrast (compaction skips
-  // parked rows), and once trees outgrow the cache both kernels converge
-  // on memory latency and the ratio stops measuring the code.
+  // unlimited-depth tree (~1.3k nodes at 1024 rows) L2-resident, so the
+  // predict cases time the walk rather than memory latency.
   const std::size_t rows = short_mode ? 512 : 1024;
   const std::size_t cols = short_mode ? 8 : 16;
   const std::size_t trees = short_mode ? 20 : 300;
@@ -225,18 +223,36 @@ int main(int argc, char** argv) {
               rows, cols, trees, max_bins, hw);
 
   std::vector<BenchCase> cases;
-  cases.push_back(run_case("fit_exact_t1", reps, [&] {
-    RandomForest forest(forest_options(trees, SplitMode::kExact, max_bins,
-                                       /*oob=*/false));
-    Rng rng(7);
-    forest.fit(data.x, data.y, rng, &one_thread);
-  }));
-  const auto fit_hist_t1 = [&] {
-    RandomForest forest(forest_options(trees, SplitMode::kHistogram, max_bins,
-                                       /*oob=*/false));
+  Ratios ratios;
+  const auto fit_t1 = [&](SplitMode mode) {
+    RandomForest forest(forest_options(trees, mode, max_bins, /*oob=*/false));
     Rng rng(7);
     forest.fit(data.x, data.y, rng, &one_thread);
   };
+  // fit_hist_vs_exact: exact and histogram fits back to back, the median
+  // of the pairs' ratios. fit_exact_t1 records the best exact fit of the
+  // pairs; fit_hist_t1 is timed on its own below because the obs A/A
+  // ratio divides by it and must compare like with like.
+  const std::size_t fit_pairs = std::max<std::size_t>(reps, 5);
+  {
+    double best_exact = 0.0;
+    std::vector<double> pair_ratios;
+    for (std::size_t rep = 0; rep < fit_pairs; ++rep) {
+      const hpcp::obs::Stopwatch exact_watch;
+      fit_t1(SplitMode::kExact);
+      const double exact_s = exact_watch.seconds();
+      const hpcp::obs::Stopwatch hist_watch;
+      fit_t1(SplitMode::kHistogram);
+      const double hist_s = hist_watch.seconds();
+      if (rep == 0 || exact_s < best_exact) best_exact = exact_s;
+      pair_ratios.push_back(hist_s > 0.0 ? exact_s / hist_s : 0.0);
+    }
+    ratios.fit_hist_vs_exact = median_ratio(pair_ratios);
+    cases.push_back(BenchCase{"fit_exact_t1", best_exact, fit_pairs});
+    std::printf("%-28s %10.4f s   (best of %zu)\n", "fit_exact_t1", best_exact,
+                fit_pairs);
+  }
+  const auto fit_hist_t1 = [&] { fit_t1(SplitMode::kHistogram); };
   cases.push_back(run_case("fit_hist_t1", reps, fit_hist_t1));
   // A/A re-measure of the identical disabled-path workload: the ratio to
   // fit_hist_t1 is the off-mode overhead guard (tools/ci.sh asserts ~1.0).
@@ -269,88 +285,55 @@ int main(int argc, char** argv) {
     Rng rng(7);
     forest.fit(data.x, data.y, rng, &one_thread);
   }
-  // Predict cases are sub-millisecond in short mode and low-millisecond
-  // in full mode; extra reps cost little and the min-of-reps must
-  // converge for the gated simd/scalar ratio to be reproducible.
-  const std::size_t predict_reps = short_mode ? 5 : 9;
-  std::vector<double> sink;
-  cases.push_back(run_case("predict_per_row", predict_reps, [&] {
-    sink = predict_per_row(forest, data.x);
-  }));
-  const std::vector<double> reference = sink;
-  cases.push_back(run_case("predict_batched", predict_reps, [&] {
-    sink = forest.predict(data.x);
-  }));
-  // Sanity: the fast path must agree with the reference walk bit-for-bit.
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (sink[r] != reference[r]) {
-      std::fprintf(stderr, "batched/per-row mismatch at row %zu\n", r);
-      return 1;
-    }
-  }
-
-  // Scalar vs SIMD FlatForest kernels over the same fitted forest: the
-  // HPCP_FOREST_ISA override pins each case to one code path, and the
-  // parity contract (bitwise-identical predictions) is enforced inline —
-  // a vector kernel that changes bits is a correctness bug, not a trade.
-  //
-  // The gated ratio is the median of per-rep back-to-back pairs rather
-  // than a quotient of two independent min-of-reps: each rep times the
-  // scalar walk and then the SIMD walk inside one slice of host noise,
-  // so frequency drift or steal time on a shared runner moves both sides
-  // of a pair together instead of randomly deflating one min. The
-  // per-case best-of wall times are still recorded alongside.
   const hpcp::FlatForest& flat = forest.flat();
-  // Short mode's 20-tree predict is ~0.1 ms — below what a steady-clock
-  // read measures reliably — so each side times `inner` consecutive
-  // calls as one region. The ratio is scale-invariant; the recorded
-  // per-case seconds are per-region (the baseline is refreshed in kind).
+  // predict_batched_vs_per_row: the per-row pointer walk and the batched
+  // FlatForest walk over the whole batch, back to back, the median of the
+  // pairs' ratios; each case records its best of the pairs, per call.
+  // Each side runs one untimed call first, so it is timed with its own
+  // nodes in cache, then times `inner` consecutive calls as one region:
+  // short mode's batched predict is ~0.2 ms, a slice a single scheduler
+  // hiccup can double.
+  const std::size_t predict_reps = short_mode ? 5 : 9;
   const std::size_t inner = short_mode ? 8 : 1;
-  std::vector<double> scalar_pred;
-  std::vector<double> simd_pred;
-  double best_scalar = 0.0;
-  double best_simd = 0.0;
-  std::vector<double> pair_ratios;
-  for (std::size_t rep = 0; rep < predict_reps; ++rep) {
-    double scalar_s = 0.0;
-    double simd_s = 0.0;
-    ::setenv("HPCP_FOREST_ISA", "scalar", 1);
-    {
-      const hpcp::obs::Span span("bench.case", "predict_flat_scalar");
-      const hpcp::obs::Stopwatch watch;
-      for (std::size_t it = 0; it < inner; ++it) {
-        scalar_pred = flat.predict_mean(data.x);
-      }
-      scalar_s = watch.seconds();
+  const auto time_walk = [inner](const char* name, const auto& walk) {
+    walk();
+    const hpcp::obs::Span span("bench.case", name);
+    const hpcp::obs::Stopwatch watch;
+    for (std::size_t it = 0; it < inner; ++it) walk();
+    return watch.seconds() / static_cast<double>(inner);
+  };
+  std::vector<double> reference;
+  std::vector<double> batched;
+  {
+    double best_per_row = 0.0;
+    double best_batched = 0.0;
+    std::vector<double> pair_ratios;
+    for (std::size_t rep = 0; rep < predict_reps; ++rep) {
+      const double per_row_s = time_walk("predict_per_row", [&] {
+        reference = predict_per_row(forest, data.x);
+      });
+      const double batched_s = time_walk(
+          "predict_batched", [&] { batched = forest.predict(data.x); });
+      if (rep == 0 || per_row_s < best_per_row) best_per_row = per_row_s;
+      if (rep == 0 || batched_s < best_batched) best_batched = batched_s;
+      pair_ratios.push_back(batched_s > 0.0 ? per_row_s / batched_s : 0.0);
     }
-    ::setenv("HPCP_FOREST_ISA", "auto", 1);
-    {
-      const hpcp::obs::Span span("bench.case", "predict_flat_simd");
-      const hpcp::obs::Stopwatch watch;
-      for (std::size_t it = 0; it < inner; ++it) {
-        simd_pred = flat.predict_mean(data.x);
-      }
-      simd_s = watch.seconds();
-    }
-    if (rep == 0 || scalar_s < best_scalar) best_scalar = scalar_s;
-    if (rep == 0 || simd_s < best_simd) best_simd = simd_s;
-    pair_ratios.push_back(simd_s > 0.0 ? scalar_s / simd_s : 0.0);
+    ratios.predict_batched_vs_per_row = median_ratio(pair_ratios);
+    cases.push_back(BenchCase{"predict_per_row", best_per_row, predict_reps});
+    cases.push_back(BenchCase{"predict_batched", best_batched, predict_reps});
+    std::printf("%-28s %10.4f s   (best of %zu)\n", "predict_per_row",
+                best_per_row, predict_reps);
+    std::printf("%-28s %10.4f s   (best of %zu)\n", "predict_batched",
+                best_batched, predict_reps);
   }
-  ::unsetenv("HPCP_FOREST_ISA");
-  std::sort(pair_ratios.begin(), pair_ratios.end());
-  const double simd_speedup = pair_ratios[pair_ratios.size() / 2];
-  cases.push_back(BenchCase{"predict_flat_scalar", best_scalar, predict_reps});
-  cases.push_back(BenchCase{"predict_flat_simd", best_simd, predict_reps});
-  std::printf("%-28s %10.4f s   (best of %zu)\n", "predict_flat_scalar",
-              best_scalar, predict_reps);
-  std::printf("%-28s %10.4f s   (best of %zu)\n", "predict_flat_simd",
-              best_simd, predict_reps);
-  bool simd_parity = true;
+  // Parity: the batched walk must agree with the per-row reference walk
+  // bit for bit; a fast path that changes bits is a bug, not a trade.
+  bool batched_parity = true;
   for (std::size_t r = 0; r < rows; ++r) {
-    if (scalar_pred[r] != simd_pred[r] ||
-        std::signbit(scalar_pred[r]) != std::signbit(simd_pred[r])) {
-      simd_parity = false;
-      std::fprintf(stderr, "scalar/simd parity mismatch at row %zu\n", r);
+    if (std::bit_cast<std::uint64_t>(batched[r]) !=
+        std::bit_cast<std::uint64_t>(reference[r])) {
+      batched_parity = false;
+      std::fprintf(stderr, "batched/per-row mismatch at row %zu\n", r);
       return 1;
     }
   }
@@ -371,7 +354,9 @@ int main(int argc, char** argv) {
     }
   }
   for (std::size_t c = 0; c < small_calls; ++c) {
-    if (flat.predict_mean(one_row[c])[0] != reference[c % rows]) {
+    if (std::bit_cast<std::uint64_t>(flat.predict_mean(one_row[c])[0]) !=
+        std::bit_cast<std::uint64_t>(reference[c % rows])) {
+      batched_parity = false;
       std::fprintf(stderr, "one-row/per-row mismatch at row %zu\n",
                    c % rows);
       return 1;
@@ -397,18 +382,14 @@ int main(int argc, char** argv) {
     if (rep == 0 || n8_s < best_n8) best_n8 = n8_s;
     n1_ratios.push_back(n1_s > 0.0 ? per_row_s / n1_s : 0.0);
   }
-  std::sort(n1_ratios.begin(), n1_ratios.end());
-  const double n1_vs_per_row = n1_ratios[n1_ratios.size() / 2];
+  ratios.predict_n1_vs_per_row = median_ratio(n1_ratios);
   const auto calls = static_cast<double>(small_calls);
-  cases.push_back(
-      BenchCase{"predict_flat_simd_n1", best_n1 / calls, predict_reps});
-  cases.push_back(
-      BenchCase{"predict_flat_simd_n8", best_n8 / calls, predict_reps});
+  cases.push_back(BenchCase{"predict_flat_n1", best_n1 / calls, predict_reps});
+  cases.push_back(BenchCase{"predict_flat_n8", best_n8 / calls, predict_reps});
   std::printf("%-28s %10.2e s   (per call, best of %zu; sink %g)\n",
-              "predict_flat_simd_n1", best_n1 / calls, predict_reps,
-              small_sink);
+              "predict_flat_n1", best_n1 / calls, predict_reps, small_sink);
   std::printf("%-28s %10.2e s   (per call, best of %zu)\n",
-              "predict_flat_simd_n8", best_n8 / calls, predict_reps);
+              "predict_flat_n8", best_n8 / calls, predict_reps);
 
   // Observability must never change results: an identical fit + predict
   // with tracing and metrics live has to be bitwise equal to obs-off.
@@ -425,7 +406,7 @@ int main(int argc, char** argv) {
     hpcp::obs::set_trace_enabled(false);
     hpcp::obs::set_metrics_enabled(false);
     for (std::size_t r = 0; r < rows; ++r) {
-      if (traced_pred[r] != sink[r]) {
+      if (traced_pred[r] != batched[r]) {
         obs_identical = false;
         std::fprintf(stderr, "obs on/off prediction mismatch at row %zu\n", r);
         return 1;
@@ -435,7 +416,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     write_json(json_path, short_mode, rows, cols, trees, max_bins, hw, cases,
-               simd_speedup, n1_vs_per_row, obs_identical, simd_parity);
+               ratios, obs_identical, batched_parity);
   }
   return 0;
 }

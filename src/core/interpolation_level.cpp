@@ -136,7 +136,14 @@ InterpolationLevel InterpolationLevel::load(Deserializer& in) {
   level.forests_.resize(in.read_count(5 * sizeof(std::uint64_t)));
   Deserializer::check(level.forests_.size() == level.scales_.size(),
                       "forest count does not match the scale count");
-  for (auto& forest : level.forests_) forest = RandomForest::load(in);
+  for (auto& forest : level.forests_) {
+    forest = RandomForest::load(in);
+    // num_features() is the first forest's count; every forest is walked
+    // with a row of that width.
+    Deserializer::check(
+        forest.num_features() == level.forests_.front().num_features(),
+        "forests disagree on the feature count");
+  }
   return level;
 }
 

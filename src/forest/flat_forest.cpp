@@ -6,16 +6,13 @@
 
 #include "src/common/check.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 namespace hpcp {
 
 namespace {
 
-/// Advances one row to its leaf. The traversal step is shared verbatim by
-/// every kernel: go left iff x <= threshold, where a NaN threshold or NaN
+/// Per-row walk: advances one row to its leaf. It is the reference the
+/// batched kernel is held to bit for bit, and it serves the single-row
+/// entry points. Go left iff x <= threshold; a NaN threshold or NaN
 /// feature value compares false and sends the row right.
 inline std::int32_t walk_one(const FlatForest::Node* nodes, std::int32_t nd,
                              const double* xd, std::int32_t xbase) {
@@ -26,69 +23,46 @@ inline std::int32_t walk_one(const FlatForest::Node* nodes, std::int32_t nd,
   return nd;
 }
 
-/// Reference kernel: level-synchronous over the whole row block. Upper
-/// tree levels stay cache-resident while the rows stream through.
-void walk_scalar(const FlatForest::Node* nodes, const double* xd,
-                 const std::int32_t* xbase, std::int32_t* cur,
-                 std::size_t n) {
-  for (bool active = true; active;) {
-    active = false;
-    for (std::size_t k = 0; k < n; ++k) {
-      const FlatForest::Node& nd = nodes[cur[k]];
-      if (nd.feature < 0) continue;
-      cur[k] = nd.left + (xd[xbase[k] + nd.feature] <= nd.threshold ? 0 : 1);
-      active = true;
-    }
-  }
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-
-/// Vector tiers: active-list compaction. The scalar reference revisits
-/// every parked slot on every sweep, so an unbalanced tree (unlimited
-/// depth — the production configuration) costs n * max_depth slot visits
-/// even though only n * mean_depth of them do work; on measured fitted
-/// forests max_depth is roughly twice mean_depth, i.e. half the scalar
-/// sweeps' visits are wasted. The compaction walk keeps a packed list of
-/// still-active (node, slot) entries — node index in the high 32 bits,
-/// slot in the low 32 — steps every entry one level per sweep, and writes
-/// survivors back densely, so parked slots are never touched again and
-/// each sweep is a straight streaming pass with branch-free bookkeeping.
-/// The eager survivor test (an entry is appended only while its next
-/// node is internal) keeps the step itself clamp-free: entries are
-/// never leaves, which is why walk_tile seeds only internal roots.
+/// The batched kernel: active-list compaction. A level-synchronous sweep
+/// over every slot of a tile revisits parked slots on every pass, so an
+/// unbalanced tree (unlimited depth, the production configuration) costs
+/// n * max_depth slot visits although only n * mean_depth of them do
+/// work; on measured fitted forests max_depth is roughly twice
+/// mean_depth. The compaction walk keeps a packed list of still-active
+/// (node, slot) entries (node index in the high 32 bits, slot in the low
+/// 32), steps every entry one level per sweep, and writes survivors back
+/// densely, so parked slots are never touched again and each sweep is a
+/// straight streaming pass with branch-free bookkeeping. The eager
+/// survivor test (an entry is appended only while its next node is
+/// internal) keeps the step itself clamp-free: entries are never leaves,
+/// which is why walk_tile seeds only internal roots.
 ///
 /// A slot is one (tree, row) pair of a tile (see FlatForest::walk_tile):
 /// entries of different trees are independent dependency chains, so a
 /// tile of every tree over a one-row batch keeps ~100 node loads in
 /// flight where a tree-at-a-time walk would follow one chain at a time.
-///
-/// The compare runs two entries at a time through _mm_cmpnle_pd, whose
-/// predicate is exactly the scalar `!(x <= thr)` including the NaN
-/// case (unordered compares true, so NaN features and NaN thresholds
-/// send the row right) — that is what keeps the parity contract bitwise.
-/// Wider compares were measured and rejected: 4-wide _mm256_cmp_pd needs
-/// lane-crossing vector builds that cost more than the compare saves,
-/// and the AVX2 hardware-gather formulation loses outright because each
-/// step's gather depends on the previous level's result — a dependent
-/// gather chain serialises at memory latency while independent scalar
-/// loads overlap. The walk is memory-level-parallelism bound, so the
+/// The walk is bound by memory-level parallelism, not arithmetic: the
 /// four-entry unroll exists to keep many independent node loads in
-/// flight, not to fill vector lanes.
+/// flight. The step is the per-row walk's own compare in portable C++, the
+/// same on every platform: intrinsic builds of this loop (a pairwise
+/// `_mm_cmpnle_pd` compare, an AVX2 encoding) measured no faster, and
+/// 4-lane compares and hardware gathers measured slower (DESIGN.md).
 ///
 /// Slot offsets: a one-tree tile over contiguous rows folds the offset
 /// multiply into the step (kContiguous, xb = slot * d) instead of loading
-/// a precomputed table; the all-trees tile and the out-of-bag row subset
-/// pass their slot-to-row offset table explicitly.
+/// a table; the all-trees tile and the out-of-bag row subset pass their
+/// slot-to-row offset table.
 template <bool kContiguous>
-__attribute__((always_inline)) inline void walk_active(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
-    std::int64_t* act, std::size_t m) {
+void walk_active(const FlatForest::Node* nodes, const double* xd,
+                 const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
+                 std::int64_t* act, std::size_t m) {
   while (m) {
     std::size_t w = 0;
     std::size_t i = 0;
     for (; i + 4 <= m; i += 4) {
+      // All four steps are computed before the first store: a store to
+      // cur may alias a node's int32 fields as far as the compiler knows,
+      // so interleaving stores would serialise the independent node loads.
       const std::int64_t e0 = act[i];
       const std::int64_t e1 = act[i + 1];
       const std::int64_t e2 = act[i + 2];
@@ -97,30 +71,22 @@ __attribute__((always_inline)) inline void walk_active(
       const auto k1 = static_cast<std::int32_t>(e1);
       const auto k2 = static_cast<std::int32_t>(e2);
       const auto k3 = static_cast<std::int32_t>(e3);
-      const auto c0 = static_cast<std::int32_t>(e0 >> 32);
-      const auto c1 = static_cast<std::int32_t>(e1 >> 32);
-      const auto c2 = static_cast<std::int32_t>(e2 >> 32);
-      const auto c3 = static_cast<std::int32_t>(e3 >> 32);
-      const FlatForest::Node& n0 = nodes[c0];
-      const FlatForest::Node& n1 = nodes[c1];
-      const FlatForest::Node& n2 = nodes[c2];
-      const FlatForest::Node& n3 = nodes[c3];
+      const FlatForest::Node& n0 = nodes[static_cast<std::int32_t>(e0 >> 32)];
+      const FlatForest::Node& n1 = nodes[static_cast<std::int32_t>(e1 >> 32)];
+      const FlatForest::Node& n2 = nodes[static_cast<std::int32_t>(e2 >> 32)];
+      const FlatForest::Node& n3 = nodes[static_cast<std::int32_t>(e3 >> 32)];
       const std::int32_t xb0 = kContiguous ? k0 * d : xbase[k0];
       const std::int32_t xb1 = kContiguous ? k1 * d : xbase[k1];
       const std::int32_t xb2 = kContiguous ? k2 * d : xbase[k2];
       const std::int32_t xb3 = kContiguous ? k3 * d : xbase[k3];
-      const __m128d vx01 =
-          _mm_set_pd(xd[xb1 + n1.feature], xd[xb0 + n0.feature]);
-      const __m128d vt01 = _mm_set_pd(n1.threshold, n0.threshold);
-      const __m128d vx23 =
-          _mm_set_pd(xd[xb3 + n3.feature], xd[xb2 + n2.feature]);
-      const __m128d vt23 = _mm_set_pd(n3.threshold, n2.threshold);
-      const int g01 = _mm_movemask_pd(_mm_cmpnle_pd(vx01, vt01));
-      const int g23 = _mm_movemask_pd(_mm_cmpnle_pd(vx23, vt23));
-      const std::int32_t x0 = n0.left + (g01 & 1);
-      const std::int32_t x1 = n1.left + ((g01 >> 1) & 1);
-      const std::int32_t x2 = n2.left + (g23 & 1);
-      const std::int32_t x3 = n3.left + ((g23 >> 1) & 1);
+      const std::int32_t x0 =
+          n0.left + (xd[xb0 + n0.feature] <= n0.threshold ? 0 : 1);
+      const std::int32_t x1 =
+          n1.left + (xd[xb1 + n1.feature] <= n1.threshold ? 0 : 1);
+      const std::int32_t x2 =
+          n2.left + (xd[xb2 + n2.feature] <= n2.threshold ? 0 : 1);
+      const std::int32_t x3 =
+          n3.left + (xd[xb3 + n3.feature] <= n3.threshold ? 0 : 1);
       cur[k0] = x0;
       cur[k1] = x1;
       cur[k2] = x2;
@@ -141,8 +107,7 @@ __attribute__((always_inline)) inline void walk_active(
     for (; i < m; ++i) {
       const std::int64_t e = act[i];
       const auto k = static_cast<std::int32_t>(e);
-      const auto c = static_cast<std::int32_t>(e >> 32);
-      const FlatForest::Node& nd = nodes[c];
+      const FlatForest::Node& nd = nodes[static_cast<std::int32_t>(e >> 32)];
       const std::int32_t xb = kContiguous ? k * d : xbase[k];
       const std::int32_t nxt =
           nd.left + (xd[xb + nd.feature] <= nd.threshold ? 0 : 1);
@@ -154,35 +119,6 @@ __attribute__((always_inline)) inline void walk_active(
     m = w;
   }
 }
-
-/// Baseline x86-64 tier (SSE2 is architectural there).
-__attribute__((target("sse2"))) void walk_sse2(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
-    std::int64_t* act, std::size_t m) {
-  if (xbase == nullptr) {
-    walk_active<true>(nodes, xd, nullptr, d, cur, act, m);
-  } else {
-    walk_active<false>(nodes, xd, xbase, d, cur, act, m);
-  }
-}
-
-/// AVX2 tier: the same compaction walk force-inlined under an AVX2
-/// target, so the compare/bookkeeping lower to VEX three-operand forms.
-/// It shares the 128-bit pairwise compare deliberately — see the
-/// walk_active comment for why wider formulations measured slower.
-__attribute__((target("avx2"))) void walk_avx2(
-    const FlatForest::Node* nodes, const double* xd,
-    const std::int32_t* xbase, std::int32_t d, std::int32_t* cur,
-    std::int64_t* act, std::size_t m) {
-  if (xbase == nullptr) {
-    walk_active<true>(nodes, xd, nullptr, d, cur, act, m);
-  } else {
-    walk_active<false>(nodes, xd, xbase, d, cur, act, m);
-  }
-}
-
-#endif  // x86
 
 /// Slot-to-row offset table of a tile of `trees` trees over n contiguous
 /// rows: slot t * n + r reads row r. The size guard in the predict entry
@@ -196,25 +132,6 @@ std::vector<std::int32_t> make_xbase(std::size_t trees, std::size_t n,
     }
   }
   return xbase;
-}
-
-/// Whether `isa` runs the compaction walk (and so needs active-list
-/// scratch); off x86 every tier falls back to the scalar reference.
-bool is_vector_tier(ForestIsa isa) {
-#if defined(__x86_64__) || defined(__i386__)
-  return isa != ForestIsa::kScalar;
-#else
-  (void)isa;
-  return false;
-#endif
-}
-
-/// The scalar reference takes a precomputed offset table; the vector
-/// tiers compute contiguous offsets themselves for a one-tree tile
-/// (walk_active's kContiguous path), so batched callers skip building the
-/// table when a vector tier resolved and each tile holds one tree.
-bool kernel_needs_xbase(ForestIsa isa, std::size_t trees_per_tile) {
-  return !is_vector_tier(isa) || trees_per_tile > 1;
 }
 
 void require_traversable(const Matrix& x) {
@@ -313,44 +230,31 @@ std::size_t FlatForest::trees_per_tile(std::size_t n) const noexcept {
 
 void FlatForest::walk_tile(std::size_t t0, std::size_t nt, const double* xd,
                            const std::int32_t* xbase, std::int32_t d,
-                           std::int32_t* cur, std::size_t n, ForestIsa isa,
+                           std::int32_t* cur, std::size_t n,
                            std::int64_t* act) const {
   const Node* nodes = nodes_.data();
   // Seeding: every slot starts at its tree's root, so cur reports the
-  // root of a single-leaf tree without a walk; the vector tiers' active
-  // list gets one (root, slot) entry per slot whose root is internal.
-  // Slots that leave the list have had their final leaf written to cur
-  // by the walk, so one scratch list serves every tile of a batch.
+  // root of a single-leaf tree without a walk; the active list gets one
+  // (root, slot) entry per slot whose root is internal. Slots that leave
+  // the list have had their final leaf written to cur by the walk, so one
+  // scratch list serves every tile of a batch.
   std::size_t m = 0;
   for (std::size_t tt = 0; tt < nt; ++tt) {
     const std::int32_t root = roots_[t0 + tt];
     std::int32_t* slots = cur + tt * n;
     std::fill(slots, slots + n, root);
-    if (act == nullptr || nodes[root].feature < 0) continue;
+    if (nodes[root].feature < 0) continue;
     const auto base = static_cast<std::uint32_t>(tt * n);
     for (std::size_t r = 0; r < n; ++r) {
       act[m++] = static_cast<std::int64_t>(root) << 32 |
                  (base + static_cast<std::uint32_t>(r));
     }
   }
-  switch (isa) {
-#if defined(__x86_64__) || defined(__i386__)
-    case ForestIsa::kAvx2:
-      walk_avx2(nodes, xd, xbase, d, cur, act, m);
-      return;
-    case ForestIsa::kSse2:
-      walk_sse2(nodes, xd, xbase, d, cur, act, m);
-      return;
-#else
-    case ForestIsa::kAvx2:
-    case ForestIsa::kSse2:
-#endif
-    case ForestIsa::kScalar:
-      break;
+  if (xbase == nullptr) {
+    walk_active<true>(nodes, xd, nullptr, d, cur, act, m);
+  } else {
+    walk_active<false>(nodes, xd, xbase, d, cur, act, m);
   }
-  // kernel_needs_xbase guarantees xbase is populated on this path.
-  walk_scalar(nodes, xd, xbase, cur, nt * n);
-  (void)d;
 }
 
 template <typename LeafFn>
@@ -361,20 +265,18 @@ void FlatForest::walk_batch(const Matrix& x, LeafFn&& leaf) const {
   const std::size_t n = x.rows();
   const auto d = static_cast<std::int32_t>(x.cols());
   const double* xd = x.data().data();
-  const ForestIsa isa = resolve_forest_isa();
   const std::size_t per_tile = trees_per_tile(n);
+  // A tile of several trees needs the slot-to-row table; one tree over
+  // contiguous rows computes its offsets in the walk.
   std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa, per_tile)) {
-    xbase = make_xbase(per_tile, n, x.cols());
-  }
+  if (per_tile > 1) xbase = make_xbase(per_tile, n, x.cols());
   const std::int32_t* xb = xbase.empty() ? nullptr : xbase.data();
   // One slot and one active-list scratch buffer shared by every tile.
   std::vector<std::int32_t> cur(per_tile * n);
-  std::vector<std::int64_t> act(is_vector_tier(isa) ? per_tile * n : 0);
-  std::int64_t* ap = act.empty() ? nullptr : act.data();
+  std::vector<std::int64_t> act(per_tile * n);
   for (std::size_t t0 = 0; t0 < num_trees(); t0 += per_tile) {
     const std::size_t nt = std::min(per_tile, num_trees() - t0);
-    walk_tile(t0, nt, xd, xb, d, cur.data(), n, isa, ap);
+    walk_tile(t0, nt, xd, xb, d, cur.data(), n, act.data());
     // Tree-major within the tile, tiles in tree order: every row sees its
     // leaves in tree order, the accumulation order of the per-row walk.
     for (std::size_t tt = 0; tt < nt; ++tt) {
@@ -440,16 +342,15 @@ void FlatForest::predict_tree_rows(std::size_t t, const Matrix& x,
   HPCP_REQUIRE(out.size() == rows.size(), "output span must match row list");
   require_traversable(x);
   const std::size_t d = x.cols();
-  // Non-contiguous row subset: every kernel takes the offset table here.
+  // A row subset is not contiguous: it takes the offset table.
   std::vector<std::int32_t> xbase(rows.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     xbase[k] = static_cast<std::int32_t>(rows[k] * d);
   }
-  const ForestIsa isa = resolve_forest_isa();
-  std::vector<std::int64_t> act(is_vector_tier(isa) ? rows.size() : 0);
+  std::vector<std::int64_t> act(rows.size());
   std::vector<std::int32_t> cur(rows.size());
   walk_tile(t, 1, x.data().data(), xbase.data(), static_cast<std::int32_t>(d),
-            cur.data(), rows.size(), isa, act.empty() ? nullptr : act.data());
+            cur.data(), rows.size(), act.data());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     out[k] = nodes_[static_cast<std::size_t>(cur[k])].threshold;
   }
@@ -462,14 +363,10 @@ void FlatForest::accumulate_tree(std::size_t t, const Matrix& x, double scale,
   HPCP_REQUIRE(acc.size() == x.rows(), "accumulator must match row count");
   require_traversable(x);
   const std::size_t n = x.rows();
-  const ForestIsa isa = resolve_forest_isa();
-  std::vector<std::int32_t> xbase;
-  if (kernel_needs_xbase(isa, 1)) xbase = make_xbase(1, n, x.cols());
-  std::vector<std::int64_t> act(is_vector_tier(isa) ? n : 0);
+  std::vector<std::int64_t> act(n);
   std::vector<std::int32_t> cur(n);
-  walk_tile(t, 1, x.data().data(), xbase.empty() ? nullptr : xbase.data(),
-            static_cast<std::int32_t>(x.cols()), cur.data(), n, isa,
-            act.empty() ? nullptr : act.data());
+  walk_tile(t, 1, x.data().data(), nullptr,
+            static_cast<std::int32_t>(x.cols()), cur.data(), n, act.data());
   for (std::size_t r = 0; r < n; ++r) {
     acc[r] += scale * nodes_[static_cast<std::size_t>(cur[r])].threshold;
   }

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "src/forest/forest_isa.hpp"
 #include "src/forest/tree.hpp"
 #include "src/linear/matrix.hpp"
 
@@ -30,17 +29,17 @@
 /// chains overlap their cache misses instead of running one tree after
 /// another; a larger batch walks one tree across the whole batch, so that
 /// tree's upper levels stay cache-resident while the rows stream through.
-/// The walk ships as three bitwise-identical kernels selected at runtime
-/// per batch (forest_isa.hpp; `HPCP_FOREST_ISA` forces a tier): a scalar
-/// reference that sweeps the whole tile, and SSE2/AVX2 tiers that keep a
-/// compacted active list of (node, slot) entries so slots already parked
-/// at a leaf are never revisited — on unbalanced unlimited-depth trees
-/// that halves the visit count (see flat_forest.cpp for the kernel
-/// anatomy and the rejected alternatives, hardware gathers included).
+/// One portable kernel runs every batch on every platform: a compaction
+/// walk that keeps a packed active list of (node, slot) entries, so slots
+/// already parked at a leaf are never revisited — on unbalanced
+/// unlimited-depth trees that halves the visit count against a sweep of
+/// the whole tile (see flat_forest.cpp for the kernel anatomy and the
+/// rejected alternatives, intrinsic builds included).
 /// Leaves are summed per row in tree order whatever the shape.
-/// Parity is a contract, not an aspiration: the parity suite and bench
-/// compare scalar vs SIMD predictions bit for bit, NaN thresholds
-/// included.
+/// The per-row walk behind predict_row_moments and predict_tree_row is
+/// the reference: every batched entry point must agree with it bit for
+/// bit, NaN thresholds and NaN features included (the parity suite in
+/// test_flat_forest.cpp and the forest bench both check it).
 ///
 /// RandomForest and GradientBoostedTrees build a FlatForest after fitting
 /// and route predict / predict_stats / OOB / staged prediction through it;
@@ -104,7 +103,8 @@ class FlatForest {
   void predict_moments(const Matrix& x, std::span<double> sum,
                        std::span<double> sum_sq) const;
 
-  /// Scalar path: sum and sum-of-squares over trees for one feature vector.
+  /// Per-row path: sum and sum-of-squares over trees for one feature
+  /// vector, summed in tree order. The reference for the batched walk.
   void predict_row_moments(std::span<const double> features, double& sum,
                            double& sum_sq) const;
 
@@ -131,16 +131,13 @@ class FlatForest {
   /// tt * n + r of cur (>= nt * n entries) at tree t0 + tt's leaf for row
   /// r; the walk seeds every slot from its tree's root itself, so cur
   /// needs no prefill by the caller. Slot s reads its features at
-  /// xd + xbase[s] when an offset table is given; a null xbase means one
-  /// tree over contiguous rows (offset s * d) and is only valid for the
-  /// vector tiers — the scalar reference always takes the table
-  /// (kernel_needs_xbase in flat_forest.cpp). `act` is the vector tiers'
-  /// active-list scratch (>= nt * n entries, reusable across tiles); it
-  /// is null for the scalar tier.
+  /// xd + xbase[s]; a null xbase means one tree over contiguous rows
+  /// (offset s * d). A table is needed exactly when the tile holds more
+  /// than one tree or a row subset. `act` is the active-list scratch
+  /// (>= nt * n entries, reusable across tiles).
   void walk_tile(std::size_t t0, std::size_t nt, const double* xd,
                  const std::int32_t* xbase, std::int32_t d,
-                 std::int32_t* cur, std::size_t n, ForestIsa isa,
-                 std::int64_t* act) const;
+                 std::int32_t* cur, std::size_t n, std::int64_t* act) const;
 
   /// The batched walk behind predict_mean and predict_moments: walks
   /// every row of x through every tree, tile by tile, and calls

@@ -200,6 +200,13 @@ RandomForest RandomForest::load(Deserializer& in) {
   forest.trees_.resize(in.read_count(4 * sizeof(std::uint64_t)));
   for (auto& tree : forest.trees_) tree = RegressionTree::load(in);
   forest.flat_ = FlatForest::build(forest.trees_);
+  // A loaded forest must predict: callers size feature vectors by
+  // num_features_, and the flat walk rejects any narrower than its
+  // widest split.
+  Deserializer::check(!forest.trees_.empty(), "forest has no trees");
+  Deserializer::check(
+      forest.flat_.min_feature_width() <= forest.num_features_,
+      "forest splits on a feature beyond its feature count");
   return forest;
 }
 

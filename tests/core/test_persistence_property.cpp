@@ -27,6 +27,7 @@
 #include "src/core/problem.hpp"
 #include "src/core/two_level_model.hpp"
 #include "src/registry/archive.hpp"
+#include "src/registry/registry.hpp"
 
 // This binary replaces the global operator new to record the largest
 // single request, so a test can show a parse made no large allocation.
@@ -136,6 +137,51 @@ void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
   std::memcpy(bytes.data() + at, &v, sizeof(v));  // CI hosts are LE
 }
 
+/// Offset of forest k's feature count: it follows the forest's tag, a
+/// u64 length of 6 and the bytes "forest".
+std::size_t forest_feature_count(const std::string& bytes, std::size_t k) {
+  const std::string tag = std::string("\x06\0\0\0\0\0\0\0", 8) + "forest";
+  std::size_t at = bytes.find(tag);
+  for (std::size_t i = 0; i < k && at != std::string::npos; ++i) {
+    at = bytes.find(tag, at + tag.size());
+  }
+  EXPECT_NE(at, std::string::npos);
+  return at + tag.size();
+}
+
+/// Writes `model` as a .hpcp at `path`, then lets `patch` edit the model
+/// section (it gets the whole file and the section's offset) and
+/// recomputes that section's checksum, so the archive's integrity check
+/// passes and only the parser stands between the bytes and a model.
+template <typename Patch>
+void write_crafted_archive(const std::string& path, const TwoLevelModel& model,
+                           Patch&& patch) {
+  ASSERT_TRUE(registry::write_model_archive(path, model, {}).has_value());
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    file = buf.str();
+  }
+  const std::size_t model_entry = 24 + 40;  // header, then meta's entry
+  ASSERT_EQ(file.compare(model_entry, 6, std::string("model\0", 6)), 0);
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  std::memcpy(&offset, file.data() + model_entry + 16, sizeof(offset));
+  std::memcpy(&size, file.data() + model_entry + 24, sizeof(size));
+  ASSERT_EQ(file.substr(offset, size), save_bytes(model));
+  patch(file, static_cast<std::size_t>(offset));
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (std::size_t i = offset; i < offset + size; ++i) {
+    checksum ^= static_cast<unsigned char>(file[i]);
+    checksum *= 0x100000001b3ULL;
+  }
+  put_u64(file, model_entry + 32, checksum);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
 TEST(PersistenceProperty, RoundTripPredictsBitwiseIdentically) {
   for (std::uint64_t seed = 1; seed <= kNumHistories; ++seed) {
     const ExtrapolationProblem problem = random_problem(seed);
@@ -237,33 +283,10 @@ TEST(PersistenceProperty, OversizedNodeCountIsRejectedWithoutAllocating) {
   // archive's checksum passes, so only the parser's bound stands between
   // the count and the allocation.
   const std::string path = ::testing::TempDir() + "/crafted_nodes.hpcp";
-  ASSERT_TRUE(registry::write_model_archive(path, model, {}).has_value());
-  std::string file;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    file = buf.str();
-  }
-  const std::size_t model_entry = 24 + 40;  // header, then meta's entry
-  ASSERT_EQ(file.compare(model_entry, 6, std::string("model\0", 6)), 0);
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::memcpy(&offset, file.data() + model_entry + 16, sizeof(offset));
-  std::memcpy(&size, file.data() + model_entry + 24, sizeof(size));
-  ASSERT_EQ(file.substr(offset, size), save_bytes(model));
-  put_u64(file, offset + first_node_count(save_bytes(model)),
-          std::uint64_t{1} << 28);
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (std::size_t i = offset; i < offset + size; ++i) {
-    checksum ^= static_cast<unsigned char>(file[i]);
-    checksum *= 0x100000001b3ULL;
-  }
-  put_u64(file, model_entry + 32, checksum);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  }
+  write_crafted_archive(path, model, [&](std::string& file, std::size_t at) {
+    put_u64(file, at + first_node_count(save_bytes(model)),
+            std::uint64_t{1} << 28);
+  });
   largest_request.store(0);
   const auto via_archive = registry::load_model_any(path);
   ASSERT_FALSE(via_archive.has_value());
@@ -272,6 +295,71 @@ TEST(PersistenceProperty, OversizedNodeCountIsRejectedWithoutAllocating) {
             std::string::npos)
       << via_archive.error().to_string();
   EXPECT_LT(largest_request.load(), std::size_t{1} << 20);
+}
+
+TEST(PersistenceProperty, ForestFeatureCountsMustFitTheirSplits) {
+  // The server sizes a request's row by the model's feature count (the
+  // first forest's) and the flat walk rejects a row narrower than a
+  // forest's widest split, so a count below that split, or one forest
+  // disagreeing with the first, must be refused at load: once published,
+  // the first request would throw out of the server's batch loop.
+  const ExtrapolationProblem problem = random_problem(13);
+  const TwoLevelModel model = fit_model(problem, 13);
+  ASSERT_GT(model.interpolation().forest(0).flat().min_feature_width(), 1u);
+  const std::string bytes = save_bytes(model);
+  const std::uint64_t width = problem.train_configs.cols();
+  struct Case {
+    std::size_t at;
+    std::uint64_t count;
+    const char* what;
+  };
+  const Case cases[] = {
+      {forest_feature_count(bytes, 0), 1, "beyond its feature count"},
+      {forest_feature_count(bytes, 1), width + 1, "disagree"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string mutated = bytes;
+    put_u64(mutated, c.at, c.count);
+    const auto parsed = parse(mutated);
+    ASSERT_FALSE(parsed.has_value());
+    EXPECT_EQ(parsed.error().code, ErrorCode::BadData);
+    EXPECT_NE(parsed.error().message.find(c.what), std::string::npos)
+        << parsed.error().to_string();
+
+    const std::string path = ::testing::TempDir() + "/crafted_width.hpcp";
+    write_crafted_archive(path, model, [&](std::string& file, std::size_t at) {
+      put_u64(file, at + c.at, c.count);
+    });
+    const auto via_archive = registry::load_model_any(path);
+    ASSERT_FALSE(via_archive.has_value());
+    EXPECT_EQ(via_archive.error().code, ErrorCode::BadData);
+
+    auto reg = registry::Registry::open(::testing::TempDir() +
+                                        "/crafted_width_store");
+    ASSERT_TRUE(reg.has_value()) << reg.error().to_string();
+    const auto added = reg->add_from_file("default", path);
+    ASSERT_FALSE(added.has_value());
+    EXPECT_EQ(added.error().code, ErrorCode::BadData);
+    EXPECT_TRUE(reg->list().empty());
+  }
+}
+
+TEST(PersistenceProperty, ForestWithoutTreesIsRejected) {
+  const ExtrapolationProblem problem = random_problem(17);
+  const TwoLevelModel model = fit_model(problem, 17);
+  std::string bytes = save_bytes(model);
+  // Forest 0 with a tree count of 0 and its trees cut out: every byte
+  // still parses, but the forest could never predict.
+  const std::size_t count_at = forest_feature_count(bytes, 0) + 8 + 1 + 8;
+  const std::size_t next_forest = forest_feature_count(bytes, 1) - 8 - 6;
+  bytes.erase(count_at + 8, next_forest - (count_at + 8));
+  put_u64(bytes, count_at, 0);
+  const auto parsed = parse(bytes);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, ErrorCode::BadData);
+  EXPECT_NE(parsed.error().message.find("no trees"), std::string::npos)
+      << parsed.error().to_string();
 }
 
 TEST(PersistenceProperty, MissingFileIsIoError) {

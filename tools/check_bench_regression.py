@@ -25,13 +25,11 @@ fresh output.
 
 Some ratios only exist on real parallel hardware: thread- and
 connection-scaling speedups are ~1.0x on a single-core runner no matter
-how good the code is, and the SIMD-vs-scalar ratio is 1.0x when the host
-resolves the scalar kernel. The bench JSONs carry a `scaling` block
-mapping such keys to their preconditions ({"min_cores": N} and/or
-{"requires_simd": true}); when the fresh run's `config` shows the
-precondition unmet (hardware_concurrency < min_cores, or simd_isa ==
-"scalar"), both the ratio gate and any --require floor for that key are
-skipped with a printed reason instead of failing spuriously.
+how good the code is. The bench JSONs carry a `scaling` block mapping
+such keys to their precondition ({"min_cores": N}); when the fresh run's
+`config` shows it unmet (hardware_concurrency < min_cores), both the
+ratio gate and any --require floor for that key are skipped with a
+printed reason instead of failing spuriously.
 
 Exit codes: 0 = within tolerance, 1 = regression or contract violation,
 2 = bad invocation / unreadable input.
@@ -101,7 +99,6 @@ def main():
     scaling.update(base.get("scaling") or {})
     fresh_config = fresh.get("config") or {}
     hw = fresh_config.get("hardware_concurrency")
-    simd_isa = fresh_config.get("simd_isa")
 
     def skip_reason(key):
         rule = scaling.get(key)
@@ -112,8 +109,6 @@ def main():
                 isinstance(hw, (int, float)) and hw < min_cores:
             return (f"runner has {hw:g} core(s) < min_cores "
                     f"{min_cores:g}")
-        if rule.get("requires_simd") and simd_isa == "scalar":
-            return "runner resolves the scalar ISA"
         return None
 
     if base.get("schema") != fresh.get("schema"):
