@@ -257,8 +257,7 @@ void FlatForest::walk_tile(std::size_t t0, std::size_t nt, const double* xd,
   }
 }
 
-template <typename LeafFn>
-void FlatForest::walk_batch(const Matrix& x, LeafFn&& leaf) const {
+std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
   HPCP_REQUIRE(!empty(), "predict before build");
   check_width(x.cols());
   require_traversable(x);
@@ -274,40 +273,24 @@ void FlatForest::walk_batch(const Matrix& x, LeafFn&& leaf) const {
   // One slot and one active-list scratch buffer shared by every tile.
   std::vector<std::int32_t> cur(per_tile * n);
   std::vector<std::int64_t> act(per_tile * n);
+  std::vector<double> acc(n, 0.0);
   for (std::size_t t0 = 0; t0 < num_trees(); t0 += per_tile) {
     const std::size_t nt = std::min(per_tile, num_trees() - t0);
     walk_tile(t0, nt, xd, xb, d, cur.data(), n, act.data());
-    // Tree-major within the tile, tiles in tree order: every row sees its
+    // Tree-major within the tile, tiles in tree order: every row sums its
     // leaves in tree order, the accumulation order of the per-row walk.
     for (std::size_t tt = 0; tt < nt; ++tt) {
       const std::int32_t* slots = cur.data() + tt * n;
       for (std::size_t r = 0; r < n; ++r) {
-        leaf(r, nodes_[static_cast<std::size_t>(slots[r])].threshold);
+        acc[r] += nodes_[static_cast<std::size_t>(slots[r])].threshold;
       }
     }
   }
-}
-
-std::vector<double> FlatForest::predict_mean(const Matrix& x) const {
-  std::vector<double> acc(x.rows(), 0.0);
-  walk_batch(x, [&acc](std::size_t r, double p) { acc[r] += p; });
   // Divide (don't multiply by a reciprocal): bitwise identical to the
   // per-row reference walk, which the parity tests require.
   const auto trees = static_cast<double>(num_trees());
   for (auto& v : acc) v /= trees;
   return acc;
-}
-
-void FlatForest::predict_moments(const Matrix& x, std::span<double> sum,
-                                 std::span<double> sum_sq) const {
-  HPCP_REQUIRE(sum.size() == x.rows() && sum_sq.size() == x.rows(),
-               "moment spans must match row count");
-  std::fill(sum.begin(), sum.end(), 0.0);
-  std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
-  walk_batch(x, [&sum, &sum_sq](std::size_t r, double p) {
-    sum[r] += p;
-    sum_sq[r] += p * p;
-  });
 }
 
 void FlatForest::predict_row_moments(std::span<const double> features,

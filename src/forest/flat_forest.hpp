@@ -97,12 +97,6 @@ class FlatForest {
   /// Mean per-tree prediction for every row of x (the ensemble average).
   [[nodiscard]] std::vector<double> predict_mean(const Matrix& x) const;
 
-  /// Per-row sum and sum-of-squares of the per-tree predictions, in tree
-  /// order (for ensemble-spread statistics). Both spans must have x.rows()
-  /// elements.
-  void predict_moments(const Matrix& x, std::span<double> sum,
-                       std::span<double> sum_sq) const;
-
   /// Per-row path: sum and sum-of-squares over trees for one feature
   /// vector, summed in tree order. The reference for the batched walk.
   void predict_row_moments(std::span<const double> features, double& sum,
@@ -138,13 +132,6 @@ class FlatForest {
   void walk_tile(std::size_t t0, std::size_t nt, const double* xd,
                  const std::int32_t* xbase, std::int32_t d,
                  std::int32_t* cur, std::size_t n, std::int64_t* act) const;
-
-  /// The batched walk behind predict_mean and predict_moments: walks
-  /// every row of x through every tree, tile by tile, and calls
-  /// leaf(row, value) for each (tree, row) pair, each row's leaves in
-  /// tree order.
-  template <typename LeafFn>
-  void walk_batch(const Matrix& x, LeafFn&& leaf) const;
 
   std::vector<Node> nodes_;
   std::vector<std::int32_t> roots_;  ///< tree t's nodes: [roots_[t], roots_[t+1])

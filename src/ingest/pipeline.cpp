@@ -20,17 +20,6 @@ const ConfigRecord* find_config(std::span<const LogEntry> entries) {
   return nullptr;
 }
 
-std::size_t count_runs(std::span<const LogEntry> entries,
-                       std::size_t limit) {
-  std::size_t n = 0;
-  for (const auto& entry : entries) {
-    if (entry.kind != LogEntry::Kind::kRun) continue;
-    if (n >= limit) break;
-    ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 std::uint64_t retrain_seed(const std::string& tenant,
@@ -191,17 +180,6 @@ ShadowOutcome judge_candidate(Expected<CandidateFit> fit,
   out.candidate = std::move(cand.model);
   obs::count(out.promoted ? "ingest.promotions" : "ingest.rejections");
   return out;
-}
-
-ShadowOutcome shadow_retrain(std::span<const LogEntry> entries,
-                             std::size_t records, const std::string& tenant,
-                             const TwoLevelModel* incumbent,
-                             const TwoLevelModel* warm_start,
-                             const RetrainOptions& opts) {
-  const obs::Span span("ingest.shadow_retrain");
-  return judge_candidate(
-      fit_candidate(entries, records, tenant, warm_start, opts),
-      count_runs(entries, records), incumbent);
 }
 
 Expected<ReplayResult> replay_log(std::span<const LogEntry> entries,

@@ -28,7 +28,7 @@
 ///   4. the fit seeds from (tenant, records) and optionally warm-starts
 ///      from the previous promoted candidate's forest structure.
 ///
-/// Shadow gate (shadow_retrain): candidate and incumbent both predict the
+/// Shadow gate (judge_candidate): candidate and incumbent both predict the
 /// holdout scale through predict_scaling_curve; the candidate is promoted
 /// only when its holdout MAPE is strictly better — a tie keeps the
 /// incumbent. With no usable incumbent the candidate bootstraps the tenant
@@ -90,7 +90,7 @@ struct ShadowOutcome {
   std::optional<TwoLevelModel> candidate;  ///< present when a fit succeeded
 };
 
-/// The judging half on its own: the background scheduler runs
+/// The judging half of a retrain: the background scheduler runs
 /// fit_candidate off-thread and judges at completion time, so the
 /// comparison always shadows the incumbent actually live at promotion
 /// time. `records_attempted` labels the marker when the fit itself failed.
@@ -100,14 +100,6 @@ struct ShadowOutcome {
 [[nodiscard]] ShadowOutcome judge_candidate(Expected<CandidateFit> fit,
                                             std::size_t records_attempted,
                                             const TwoLevelModel* incumbent);
-
-/// fit_candidate + judge_candidate in one call (the synchronous path).
-[[nodiscard]] ShadowOutcome shadow_retrain(std::span<const LogEntry> entries,
-                                           std::size_t records,
-                                           const std::string& tenant,
-                                           const TwoLevelModel* incumbent,
-                                           const TwoLevelModel* warm_start,
-                                           const RetrainOptions& opts);
 
 /// The final promoted model reconstructed purely from the log.
 struct ReplayResult {

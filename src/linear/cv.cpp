@@ -83,46 +83,4 @@ LinearModel fit_lasso_cv(const Matrix& x, std::span<const double> y,
   return fit_lasso(x, y, {.lambda = cv.best_lambda});
 }
 
-MultiTaskLinearModel fit_multitask_lasso_cv(const Matrix& x, const Matrix& y,
-                                            std::size_t folds, Rng& rng,
-                                            CvResult* result,
-                                            std::size_t grid_size) {
-  HPCP_REQUIRE(x.rows() == y.rows(), "X and Y row counts must match");
-  const double lmax = multitask_lambda_max(x, y);
-  if (lmax <= 0.0) {
-    MultiTaskLinearModel m = fit_multitask_lasso(x, y, {.lambda = 1.0});
-    if (result != nullptr) *result = {};
-    return m;
-  }
-  const auto grid = lambda_grid(lmax, grid_size);
-  const auto fold = kfold_assignments(x.rows(), folds, rng);
-  const auto splits = make_splits(fold, folds);
-
-  CvResult cv;
-  cv.lambdas = grid;
-  cv.cv_mse.assign(grid.size(), 0.0);
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    double mse_sum = 0.0;
-    for (const auto& split : splits) {
-      const Matrix xtr = x.select_rows(split.train);
-      const Matrix ytr = y.select_rows(split.train);
-      const auto m = fit_multitask_lasso(xtr, ytr, {.lambda = grid[g]});
-      double mse = 0.0;
-      for (const std::size_t i : split.test) {
-        const auto pred = m.predict(x.row(i));
-        for (std::size_t t = 0; t < y.cols(); ++t) {
-          const double e = pred[t] - y(i, t);
-          mse += e * e;
-        }
-      }
-      mse_sum += mse / static_cast<double>(split.test.size() * y.cols());
-    }
-    cv.cv_mse[g] = mse_sum / static_cast<double>(folds);
-  }
-  const auto best = std::min_element(cv.cv_mse.begin(), cv.cv_mse.end());
-  cv.best_lambda = grid[static_cast<std::size_t>(best - cv.cv_mse.begin())];
-  if (result != nullptr) *result = cv;
-  return fit_multitask_lasso(x, y, {.lambda = cv.best_lambda});
-}
-
 }  // namespace hpcp

@@ -5,7 +5,6 @@
 
 #include "src/common/rng.hpp"
 #include "src/linear/lasso.hpp"
-#include "src/linear/multitask_lasso.hpp"
 
 /// \file cv.hpp
 /// K-fold cross-validation for penalty selection.
@@ -30,10 +29,5 @@ struct CvResult {
                                        std::size_t folds, Rng& rng,
                                        CvResult* result = nullptr,
                                        std::size_t grid_size = 30);
-
-/// Same for the multitask lasso; MSE is averaged over all tasks.
-[[nodiscard]] MultiTaskLinearModel fit_multitask_lasso_cv(
-    const Matrix& x, const Matrix& y, std::size_t folds, Rng& rng,
-    CvResult* result = nullptr, std::size_t grid_size = 30);
 
 }  // namespace hpcp

@@ -58,17 +58,4 @@ std::vector<double> cholesky_solve(const Matrix& a, std::span<const double> b) {
   return back_substitute_transposed(l, y);
 }
 
-Matrix cholesky_solve_multi(const Matrix& a, const Matrix& b) {
-  HPCP_REQUIRE(a.rows() == b.rows(), "dimension mismatch");
-  const Matrix l = cholesky_factor(a);
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const auto col = b.column(c);
-    const auto y = forward_substitute(l, col);
-    const auto xc = back_substitute_transposed(l, y);
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
-  }
-  return x;
-}
-
 }  // namespace hpcp

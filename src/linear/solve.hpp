@@ -20,9 +20,6 @@ namespace hpcp {
 [[nodiscard]] std::vector<double> cholesky_solve(const Matrix& a,
                                                  std::span<const double> b);
 
-/// Solves A X = B column-by-column for SPD A (B is rhs-per-column).
-[[nodiscard]] Matrix cholesky_solve_multi(const Matrix& a, const Matrix& b);
-
 /// Forward substitution: solves L y = b for lower-triangular L.
 [[nodiscard]] std::vector<double> forward_substitute(const Matrix& l,
                                                      std::span<const double> b);

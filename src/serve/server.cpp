@@ -9,6 +9,7 @@
 
 #include "src/linear/matrix.hpp"
 #include "src/obs/jsonlite.hpp"
+#include "src/serve/line_framer.hpp"
 
 namespace hpcp::serve {
 
@@ -34,39 +35,6 @@ std::uint64_t steady_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Outcome of one bounded line read.
-enum class LineRead {
-  kLine,    ///< a complete line (or final unterminated line) was read
-  kEof,     ///< end of stream, nothing read
-  kTooLong  ///< the line exceeded the bound; its remainder was discarded
-};
-
-/// getline with a hard byte bound: a line longer than `max` is *discarded*
-/// (consumed up to its newline so the stream stays line-aligned) instead
-/// of being buffered without limit — one hostile client must not be able
-/// to balloon the daemon's memory.
-LineRead read_line_bounded(std::istream& in, std::string* line,
-                           std::size_t max) {
-  line->clear();
-  std::streambuf* buf = in.rdbuf();
-  constexpr int kEofCh = std::char_traits<char>::eof();
-  for (;;) {
-    const int c = buf->sbumpc();
-    if (c == kEofCh) {
-      in.setstate(std::ios::eofbit);
-      return line->empty() ? LineRead::kEof : LineRead::kLine;
-    }
-    if (c == '\n') return LineRead::kLine;
-    if (line->size() >= max) {
-      int d = c;
-      while (d != kEofCh && d != '\n') d = buf->sbumpc();
-      if (d == kEofCh) in.setstate(std::ios::eofbit);
-      return LineRead::kTooLong;
-    }
-    line->push_back(static_cast<char>(c));
-  }
 }
 
 }  // namespace
@@ -154,7 +122,6 @@ std::optional<Request> Server::enqueue(const std::string& line,
       std::count_if(batch->begin(), batch->end(),
                     [](const Pending& p) { return p.admitted; }));
   if (admitted >= opts_.max_pending) {
-    ++sheds_;
     ++shed_streak_;
     obs::count("serve.shed");
     if (opts_.degraded_shed_streak > 0 && !degraded_saturated_ &&
@@ -170,7 +137,7 @@ std::optional<Request> Server::enqueue(const std::string& line,
         {kErrOverloaded,
          "request queue full (max_pending=" +
              std::to_string(opts_.max_pending) + "), request shed",
-         opts_.retry_after_ms});
+         kRetryAfterMs});
   } else {
     shed_streak_ = 0;
     if (degraded_saturated_) {
@@ -229,7 +196,6 @@ void Server::resolve(std::vector<Pending>* batch) {
         flush_now >= p.arrival_ms + opts_.request_deadline_ms) {
       // The answer would arrive after the client stopped caring; say so
       // explicitly instead of spending compute on it.
-      ++deadline_expired_;
       obs::count("serve.deadline_expired");
       p.trace.code = kErrDeadline;
       p.response = render_error(
@@ -304,14 +270,13 @@ void Server::resolve(std::vector<Pending>* batch) {
       // Degraded cache-only mode: hits above were served from the live
       // cache; a miss would need the compute path we are protecting, so
       // it gets a typed rejection with a retry hint.
-      ++degraded_rejects_;
       obs::count("serve.degraded_rejects");
       p.trace.code = kErrDegraded;
       p.response = render_error(
           p.req.id_json, slot.version,
           {kErrDegraded,
            "server is in degraded cache-only mode; prediction not cached",
-           opts_.retry_after_ms});
+           kRetryAfterMs});
     } else {
       obs::count("serve.cache_miss");
       roll_cache_misses_.add(roll_now);
@@ -430,7 +395,6 @@ Server::BatchOutcome Server::handle_batch(std::span<const BatchLine> lines) {
   for (; i < lines.size(); ++i) {
     const BatchLine& line = lines[i];
     if (line.too_long) {
-      ++too_large_;
       obs::count("serve.too_large");
       Pending pending;
       pending.trace.code = kErrTooLarge;
@@ -676,18 +640,18 @@ std::string Server::health_json(const std::string& id_json) const {
   out += ",\"max_pending\":";
   out += std::to_string(opts_.max_pending);
   out += ",\"shed\":";
-  out += std::to_string(sheds_);
+  out += std::to_string(sheds());
   out += ",\"too_large\":";
-  out += std::to_string(too_large_);
+  out += std::to_string(too_large_rejects());
   out += ",\"deadline_expired\":";
-  out += std::to_string(deadline_expired_);
+  out += std::to_string(deadline_rejects());
   out += ",\"responses\":";
   append_code_counters(out);
   append_registry_block(out);
   append_ingest_block(out);
   if (model_pool_ == nullptr || degraded()) {
     out += ",\"retry_after_ms\":";
-    out += std::to_string(opts_.retry_after_ms);
+    out += std::to_string(kRetryAfterMs);
   }
   out += '}';
   return out;
@@ -695,23 +659,27 @@ std::string Server::health_json(const std::string& id_json) const {
 
 bool Server::run(std::istream& in, std::ostream& out) {
   const obs::Span span("serve.session");
+  LineFramer framer(opts_.max_line_bytes);
+  std::streambuf* buf = in.rdbuf();
   std::vector<BatchLine> window;
   for (bool eof = false; !eof;) {
     // A window ends at batch_max lines, or as soon as the input would
     // block — an interactive client gets its answer now, a replayed
-    // burst batches.
+    // burst batches. The framer gets one byte at a time so a window never
+    // reads past the line that ends it.
     window.clear();
     while (window.size() < opts_.batch_max) {
-      BatchLine line;
-      const LineRead status =
-          read_line_bounded(in, &line.text, opts_.max_line_bytes);
-      if (status == LineRead::kEof) {
+      const int c = buf->sbumpc();
+      if (c == std::char_traits<char>::eof()) {
+        in.setstate(std::ios::eofbit);
+        framer.finish(window);
         eof = true;
         break;
       }
-      line.too_long = status == LineRead::kTooLong;
-      window.push_back(std::move(line));
-      if (in.rdbuf()->in_avail() <= 0) break;
+      const char ch = static_cast<char>(c);
+      const std::size_t lines = window.size();
+      framer.push({&ch, 1}, window);
+      if (window.size() > lines && buf->in_avail() <= 0) break;
     }
     if (window.empty()) break;
     const BatchOutcome outcome = handle_batch(window);
@@ -746,6 +714,11 @@ std::uint64_t Server::uptime_ms() const {
 
 void Server::note_response(const std::string& code) {
   ++responses_by_code_[code];
+}
+
+std::uint64_t Server::responses_with(const char* code) const {
+  const auto it = responses_by_code_.find(std::string_view(code));
+  return it == responses_by_code_.end() ? 0 : it->second;
 }
 
 void Server::append_code_counters(std::string& out) const {
@@ -935,13 +908,13 @@ std::string Server::render_stats_json() const {
                              static_cast<double>(lookups)
                        : 0.0);
   out += ",\"shed\":";
-  out += std::to_string(sheds_);
+  out += std::to_string(sheds());
   out += ",\"too_large\":";
-  out += std::to_string(too_large_);
+  out += std::to_string(too_large_rejects());
   out += ",\"deadline_expired\":";
-  out += std::to_string(deadline_expired_);
+  out += std::to_string(deadline_rejects());
   out += ",\"degraded_rejects\":";
-  out += std::to_string(degraded_rejects_);
+  out += std::to_string(responses_with(kErrDegraded));
   out += ",\"responses\":";
   append_code_counters(out);
   append_registry_block(out);

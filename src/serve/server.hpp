@@ -29,7 +29,8 @@
 /// tenant to serve from (absent = "default"); until a store is attached
 /// every predict gets a typed "unavailable" error.
 ///
-/// Request flow: handle_batch is the one request path. A transport hands
+/// Request flow: handle_batch is the one request path. Both transports
+/// frame their bytes with the same LineFramer (line_framer.hpp) and hand
 /// it a window of lines — the epoll front-end (tcp.hpp) every ready
 /// connection's lines, run() the stdio lines read so far — and it
 /// micro-batches them (up to `batch_max`; a control command flushes what
@@ -41,11 +42,12 @@
 ///
 /// Failure model (DESIGN.md "Failure model & degraded modes"):
 ///   - Bounded lines: a line over `max_line_bytes` is discarded by the
-///     transport and answered with a typed "too-large" error, never
+///     framer and answered with a typed "too-large" error, never
 ///     buffered without limit.
 ///   - Admission control: at most `max_pending` admitted-but-unanswered
 ///     predict requests per batch; overflow is shed immediately with a
-///     typed "overloaded" error carrying a retry_after_ms hint. Shedding
+///     typed "overloaded" error carrying a retry_after_ms hint (the
+///     constant kRetryAfterMs, 50 ms). Shedding
 ///     is a pure function of the request stream and options, so it is as
 ///     replayable as everything else.
 ///   - Deadlines: with `request_deadline_ms` set, a request still
@@ -53,9 +55,12 @@
 ///     "deadline" error instead of stale data. The clock is injectable
 ///     (`clock_ms`) so deadline behaviour is testable without wall time.
 ///   - Degraded cache-only mode: entered when admission stays saturated
-///     (`degraded_shed_streak` consecutive sheds). While degraded, cache
-///     hits are served normally and misses get a typed "degraded" error;
-///     the first admitted request exits the mode.
+///     (`degraded_shed_streak` consecutive sheds). Admission is counted
+///     per batch and every batch admits its first predict, so the streak
+///     only builds inside one batch: the mode needs batch_max >=
+///     degraded_shed_streak + max_pending. While degraded, cache hits are
+///     served normally and misses get a typed "degraded" error; the first
+///     admitted request exits the mode.
 ///   - Per-tenant blast radius: a tenant whose archive fails to load
 ///     degrades only that tenant (typed error; the pool keeps any old
 ///     resident epoch serving, health reports its load_failures and
@@ -81,6 +86,10 @@
 
 namespace hpcp::serve {
 
+/// Retry-After hint attached to overloaded/degraded responses and to a
+/// non-ok health probe.
+inline constexpr std::uint64_t kRetryAfterMs = 50;
+
 struct ServeOptions {
   /// Worker threads for the batched level-2 fan-out: 0 = the process-global
   /// pool; N >= 1 builds a dedicated pool of that size (workers register
@@ -102,8 +111,6 @@ struct ServeOptions {
   /// effective in-flight bound is min(batch_max, max_pending) because a
   /// flush drains the queue; the default never sheds in normal operation.
   std::size_t max_pending = 256;
-  /// Retry-After hint attached to overloaded/degraded responses.
-  std::uint64_t retry_after_ms = 50;
   /// Per-request deadline in milliseconds; 0 disables (default). Checked
   /// at flush time against the injectable clock.
   std::uint64_t request_deadline_ms = 0;
@@ -212,14 +219,16 @@ class Server {
   /// Currently in degraded cache-only mode (admission saturation)?
   [[nodiscard]] bool degraded() const noexcept { return degraded_saturated_; }
   /// Requests shed by admission control since start.
-  [[nodiscard]] std::uint64_t sheds() const noexcept { return sheds_; }
+  [[nodiscard]] std::uint64_t sheds() const {
+    return responses_with(kErrOverloaded);
+  }
   /// Over-long lines rejected since start.
-  [[nodiscard]] std::uint64_t too_large_rejects() const noexcept {
-    return too_large_;
+  [[nodiscard]] std::uint64_t too_large_rejects() const {
+    return responses_with(kErrTooLarge);
   }
   /// Requests answered with a "deadline" error since start.
-  [[nodiscard]] std::uint64_t deadline_rejects() const noexcept {
-    return deadline_expired_;
+  [[nodiscard]] std::uint64_t deadline_rejects() const {
+    return responses_with(kErrDeadline);
   }
 
   // --- Live observability plane (DESIGN.md "Observability") -------------
@@ -323,6 +332,12 @@ class Server {
   /// rendered response line passes through here exactly once.
   void note_response(const std::string& code);
 
+  /// Responses rendered with `code` since start. Every shed, too-large,
+  /// deadline and degraded line is noted when its batch resolves, before
+  /// any control command or scrape can read it, so this is the one count
+  /// behind the health/stats counters and the accessors above.
+  [[nodiscard]] std::uint64_t responses_with(const char* code) const;
+
   /// Retains `trace` when it ranks among the slowest kSlowLogEntries.
   void slow_log_insert(const RequestTrace& trace);
 
@@ -342,16 +357,12 @@ class Server {
   // Resilience state (all touched only from the serving thread).
   std::uint64_t shed_streak_ = 0;
   bool degraded_saturated_ = false;
-  std::uint64_t sheds_ = 0;
-  std::uint64_t too_large_ = 0;
-  std::uint64_t deadline_expired_ = 0;
-  std::uint64_t degraded_rejects_ = 0;
 
   // Observability state (all touched only from the serving thread; the
   // admin plane shares that thread by construction — see tcp.hpp).
   std::uint64_t start_ms_ = 0;          ///< injectable-clock birth stamp
   std::uint64_t next_request_id_ = 0;   ///< monotonically increasing
-  std::map<std::string, std::uint64_t> responses_by_code_;
+  std::map<std::string, std::uint64_t, std::less<>> responses_by_code_;
   std::size_t last_queue_depth_ = 0;    ///< admitted entries at last flush
   std::size_t last_batch_lines_ = 0;    ///< batch size at last flush
   std::vector<RequestTrace> slow_log_;  ///< unordered; <= kSlowLogEntries

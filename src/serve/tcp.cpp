@@ -15,12 +15,14 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/obs/obs.hpp"
 #include "src/serve/admin.hpp"
+#include "src/serve/line_framer.hpp"
 
 namespace hpcp::serve {
 
@@ -42,115 +44,108 @@ std::uint64_t steady_ms() {
 /// ballooning the daemon's memory.
 constexpr std::size_t kMaxOutbufBytes = std::size_t{64} << 20;
 
-/// One live client connection: reassembly state for inbound lines and an
-/// outbound buffer for responses the socket has not accepted yet.
-struct Conn {
+/// Concurrent admin-connection bound; scrapers above it are closed
+/// immediately. Deliberately small — this is a diagnostics plane.
+constexpr std::size_t kMaxAdminConnections = 8;
+
+/// What data and admin connections share: the socket, the response bytes
+/// it has not accepted yet, and the idle-deadline bookkeeping.
+struct Sock {
   int fd = -1;
-  std::uint64_t id = 0;  ///< accept order; window drain is pinned to it
-  std::string acc;       ///< current partial request line
-  bool discarding = false;  ///< over-long line: dropping bytes to '\n'
-  std::vector<Server::BatchLine> ready;  ///< complete, unanswered lines
   std::string outbuf;
   std::size_t out_off = 0;
+  /// Cumulative bytes the kernel ever accepted from outbuf.
+  std::uint64_t written_bytes = 0;
+  std::uint64_t last_activity = 0;
   bool saw_eof = false;
   bool dead = false;  ///< transport error; close without draining
   bool writable_armed = false;
   const char* reason = "eof";
-  std::uint64_t last_activity = 0;
-  /// Write-drained tracing: cumulative bytes ever queued / ever written
-  /// on this connection, plus (queued-bytes watermark, request id) marks.
-  /// Once written_bytes passes a mark the kernel has accepted that
-  /// request's whole response and Server::note_write_drained stamps it.
+};
+
+/// A data connection: request lines are framed by a LineFramer and
+/// answered by the handle_batch window.
+struct Conn : Sock {
+  std::uint64_t id = 0;  ///< accept order; window drain is pinned to it
+  LineFramer framer;
+  std::vector<Server::BatchLine> ready;  ///< complete, unanswered lines
+  /// Write-drained tracing: cumulative bytes ever queued, plus
+  /// (queued-bytes watermark, request id) marks. Once written_bytes passes
+  /// a mark the kernel has accepted that request's whole response and
+  /// Server::note_write_drained stamps it.
   std::uint64_t queued_bytes = 0;
-  std::uint64_t written_bytes = 0;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> marks;
+
+  explicit Conn(std::size_t max_line) : framer(max_line) {}
 };
 
-/// One admin scrape connection (see admin.hpp): buffer the request head,
-/// write one HTTP response, close. Lives on the same epoll loop but never
-/// enters handle_batch and is never fault-injected — the data plane's
-/// response bytes cannot depend on scraping.
-struct AdminConn {
-  int fd = -1;
-  std::string inbuf;
-  std::string outbuf;
-  std::size_t out_off = 0;
+/// An admin scrape connection (see admin.hpp): the request is one HTTP
+/// head, answered by handle_admin_request; one request per connection.
+struct AdminConn : Sock {
+  std::string head;
   bool responded = false;  ///< head complete; outbuf holds the response
-  bool dead = false;
-  bool writable_armed = false;
-  std::uint64_t last_activity = 0;
 };
 
-/// Line reassembly with the same contract as the stream loop's bounded
-/// read: a line longer than `max` is discarded up to its newline and
-/// surfaces as one too_long marker (answered with a typed error), so a
-/// hostile client cannot balloon memory; everything else becomes a
-/// BatchLine when its '\n' arrives.
-void push_byte(Conn& c, char ch, std::size_t max) {
-  if (c.discarding) {
-    if (ch == '\n') {
-      c.discarding = false;
-      c.ready.push_back({std::string(), true});
+/// Accepts one pending connection and registers it for EPOLLIN; returns
+/// -1 once none is left (or on a transient accept error). While `live`
+/// connections already fill `capacity`, each new one is closed at once —
+/// shedding at the front door keeps the loop's state bounded — and logged
+/// as "<label> rejected (capacity)".
+int accept_one(int epfd, int listener, std::size_t live,
+               std::size_t capacity, const char* label, std::ostream& log) {
+  for (;;) {
+    int fd;
+    do {
+      fd = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) return -1;
+    if (live >= capacity) {
+      log << "serve: " << label << " rejected (capacity)\n" << std::flush;
+      obs::count("serve.connection_rejects");
+      ::close(fd);
+      continue;
     }
-    return;
-  }
-  if (ch == '\n') {
-    c.ready.push_back({std::move(c.acc), false});
-    c.acc.clear();
-    return;
-  }
-  if (c.acc.size() >= max) {
-    c.acc.clear();
-    c.discarding = true;
-    return;
-  }
-  c.acc.push_back(ch);
-}
-
-/// EOF flushes reassembly exactly like the stream loop: a final
-/// unterminated line is still served, a half-discarded over-long line
-/// still gets its typed error.
-void flush_partial_at_eof(Conn& c) {
-  if (c.discarding) {
-    c.discarding = false;
-    c.ready.push_back({std::string(), true});
-  } else if (!c.acc.empty()) {
-    c.ready.push_back({std::move(c.acc), false});
-    c.acc.clear();
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0) return fd;
+    ::close(fd);
   }
 }
 
-/// Drains everything the socket has, through the fault model, into the
-/// connection's line assembler. Sets saw_eof / dead instead of throwing;
-/// the event loop decides when the connection actually closes.
-void drain_reads(Conn& c, FaultInjector* faults, std::size_t max_line) {
+/// Reads everything the socket has right now, through the fault model
+/// when one is set, handing each chunk to `take`. Sets saw_eof (an
+/// injected disconnect names itself in `reason`) or dead instead of
+/// throwing; the event loop decides when the connection actually closes.
+template <class Take>
+void recv_ready(Sock& s, FaultInjector* faults, Take&& take) {
   char buf[4096];
   for (;;) {
     std::size_t want = sizeof(buf);
     if (faults != nullptr && faults->enabled()) {
       if (faults->read_disconnects()) {
-        c.saw_eof = true;
-        c.reason = "injected-disconnect";
+        s.saw_eof = true;
+        s.reason = "injected-disconnect";
         return;
       }
       want = faults->clamp_read(want);
     }
     ssize_t n;
     do {
-      n = ::recv(c.fd, buf, want, 0);
+      n = ::recv(s.fd, buf, want, 0);
     } while (n < 0 && errno == EINTR);
     if (n == 0) {
-      c.saw_eof = true;
+      s.saw_eof = true;
       return;
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      c.reason = errno == ECONNRESET ? "econnreset" : "error";
+      s.dead = true;
+      s.reason = errno == ECONNRESET ? "econnreset" : "error";
       return;
     }
-    c.last_activity = steady_ms();
-    for (ssize_t i = 0; i < n; ++i) push_byte(c, buf[i], max_line);
+    s.last_activity = steady_ms();
+    take(std::string_view(buf, static_cast<std::size_t>(n)));
   }
 }
 
@@ -158,35 +153,67 @@ void drain_reads(Conn& c, FaultInjector* faults, std::size_t max_line) {
 /// (MSG_NOSIGNAL: a vanished peer is EPIPE on our return path, never
 /// SIGPIPE). Partial progress is kept; the loop arms EPOLLOUT for the
 /// rest.
-void drain_writes(Conn& c, FaultInjector* faults) {
-  while (c.out_off < c.outbuf.size()) {
-    std::size_t len = c.outbuf.size() - c.out_off;
+void send_ready(Sock& s, FaultInjector* faults) {
+  while (s.out_off < s.outbuf.size()) {
+    std::size_t len = s.outbuf.size() - s.out_off;
     if (faults != nullptr && faults->enabled()) {
       if (faults->write_fails()) {
-        c.dead = true;
-        c.reason = "injected-disconnect";
+        s.dead = true;
+        s.reason = "injected-disconnect";
         return;
       }
       len = faults->clamp_write(len);
     }
     ssize_t n;
     do {
-      n = ::send(c.fd, c.outbuf.data() + c.out_off, len, MSG_NOSIGNAL);
+      n = ::send(s.fd, s.outbuf.data() + s.out_off, len, MSG_NOSIGNAL);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      c.dead = true;
-      c.reason = errno == EPIPE          ? "epipe"
+      s.dead = true;
+      s.reason = errno == EPIPE          ? "epipe"
                  : errno == ECONNRESET   ? "econnreset"
                                          : "error";
       return;
     }
-    c.out_off += static_cast<std::size_t>(n);
-    c.written_bytes += static_cast<std::uint64_t>(n);
-    c.last_activity = steady_ms();
+    s.out_off += static_cast<std::size_t>(n);
+    s.written_bytes += static_cast<std::uint64_t>(n);
+    s.last_activity = steady_ms();
   }
-  c.outbuf.clear();
-  c.out_off = 0;
+  s.outbuf.clear();
+  s.out_off = 0;
+}
+
+/// Pushes waiting bytes out, closes a reader that lets them pile past
+/// kMaxOutbufBytes as an error, and (re)arms EPOLLOUT only while bytes
+/// wait — a level-triggered EPOLLOUT on an idle socket would spin the
+/// loop.
+void flush_and_arm(int epfd, Sock& s, FaultInjector* faults) {
+  if (!s.dead && !s.outbuf.empty()) send_ready(s, faults);
+  if (!s.dead && s.outbuf.size() - s.out_off > kMaxOutbufBytes) {
+    s.dead = true;
+    s.reason = "error";
+  }
+  const bool want = !s.dead && !s.outbuf.empty();
+  if (want != s.writable_armed) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+    ev.data.fd = s.fd;
+    ::epoll_ctl(epfd, EPOLL_CTL_MOD, s.fd, &ev);
+    s.writable_armed = want;
+  }
+}
+
+/// When `s` passes its idle deadline; never without one.
+std::uint64_t idle_deadline(const Sock& s, int io_timeout_ms) {
+  return io_timeout_ms > 0
+             ? s.last_activity + static_cast<std::uint64_t>(io_timeout_ms)
+             : (std::numeric_limits<std::uint64_t>::max)();
+}
+
+void close_sock(int epfd, const Sock& s) {
+  ::epoll_ctl(epfd, EPOLL_CTL_DEL, s.fd, nullptr);
+  ::close(s.fd);
 }
 
 /// Stamps write-drained on every request whose response bytes the kernel
@@ -203,63 +230,10 @@ void pop_drained_marks(Conn& c, Server& server) {
   }
 }
 
-/// Reads until the admin request head is complete (or overflows its
-/// bound), then renders the response into outbuf. EOF or a transport
-/// error before completion just kills the connection — there is nothing
-/// to answer.
-void admin_drain_reads(AdminConn& a, Server& server) {
-  char buf[1024];
-  for (;;) {
-    ssize_t n;
-    do {
-      n = ::recv(a.fd, buf, sizeof(buf), 0);
-    } while (n < 0 && errno == EINTR);
-    if (n == 0) {
-      // EOF before a complete head leaves nothing to answer; after the
-      // response it is just the client being done.
-      if (!a.responded) a.dead = true;
-      return;
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      a.dead = true;
-      return;
-    }
-    a.last_activity = steady_ms();
-    // Trailing bytes after the head (an over-long request still being
-    // sent, extra headers) are drained and discarded: closing a socket
-    // with unread input would RST the response out from under the
-    // client.
-    if (a.responded) continue;
-    a.inbuf.append(buf, static_cast<std::size_t>(n));
-    const bool overflow = a.inbuf.size() > kMaxAdminRequestBytes;
-    if (overflow || admin_request_complete(a.inbuf)) {
-      a.outbuf = handle_admin_request(server, a.inbuf, overflow);
-      a.responded = true;
-    }
-  }
-}
-
-void admin_drain_writes(AdminConn& a) {
-  while (a.out_off < a.outbuf.size()) {
-    ssize_t n;
-    do {
-      n = ::send(a.fd, a.outbuf.data() + a.out_off,
-                 a.outbuf.size() - a.out_off, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      a.dead = true;
-      return;
-    }
-    a.out_off += static_cast<std::size_t>(n);
-    a.last_activity = steady_ms();
-  }
-}
-
-/// Nonblocking loopback listener bound to 127.0.0.1:`*port`; on success
-/// `*port` is updated to the actually bound port (port 0 = kernel picks).
-Expected<int> make_loopback_listener(std::uint16_t* port) {
+/// Nonblocking loopback listener bound to 127.0.0.1:`*port` and registered
+/// for EPOLLIN on `epfd`; on success `*port` is updated to the actually
+/// bound port (port 0 = kernel picks).
+Expected<int> make_loopback_listener(int epfd, std::uint16_t* port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return io_error("socket");
 
@@ -270,19 +244,24 @@ Expected<int> make_loopback_listener(std::uint16_t* port) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(*port);
+  const auto fail = [fd](const std::string& what) {
+    const Error err = io_error(what);
+    ::close(fd);
+    return err;
+  };
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const Error err = io_error("bind 127.0.0.1:" + std::to_string(*port));
-    ::close(fd);
-    return err;
+    return fail("bind 127.0.0.1:" + std::to_string(*port));
   }
-  if (::listen(fd, 64) != 0) {
-    const Error err = io_error("listen");
-    ::close(fd);
-    return err;
-  }
+  if (::listen(fd, 64) != 0) return fail("listen");
   const int fl = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    return fail("epoll_ctl add listener");
+  }
 
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
@@ -291,6 +270,19 @@ Expected<int> make_loopback_listener(std::uint16_t* port) {
     *port = ntohs(bound.sin_port);
   }
   return fd;
+}
+
+/// One epoll event on a connection of either kind: read what arrived
+/// (handing it to `take`) unless the peer already ended or the transport
+/// died, and push waiting bytes when the socket is writable.
+template <class Take>
+void on_event(Sock& s, std::uint32_t events, FaultInjector* faults,
+              Take&& take) {
+  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !s.saw_eof &&
+      !s.dead) {
+    recv_ready(s, faults, take);
+  }
+  if ((events & EPOLLOUT) != 0 && !s.dead) send_ready(s, faults);
 }
 
 }  // namespace
@@ -303,25 +295,14 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
   // even if a future transport forgets the flag.
   std::signal(SIGPIPE, SIG_IGN);
 
-  Expected<int> listener_or = make_loopback_listener(&port);
-  if (!listener_or.has_value()) return listener_or.error();
-  const int listener = listener_or.value();
-
   const int epfd = ::epoll_create1(0);
-  if (epfd < 0) {
-    const Error err = io_error("epoll_create1");
-    ::close(listener);
-    return err;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listener;
-  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, listener, &ev) != 0) {
-    const Error err = io_error("epoll_ctl add listener");
+  if (epfd < 0) return io_error("epoll_create1");
+  Expected<int> listener_or = make_loopback_listener(epfd, &port);
+  if (!listener_or.has_value()) {
     ::close(epfd);
-    ::close(listener);
-    return err;
+    return listener_or.error();
   }
+  const int listener = listener_or.value();
 
   // The admin scrape plane is a second listener in the same epfd; a bind
   // failure here is a startup error, not something to limp past — an
@@ -330,23 +311,13 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
   std::uint16_t admin_port = 0;
   if (opts.admin_port >= 0) {
     admin_port = static_cast<std::uint16_t>(opts.admin_port);
-    Expected<int> admin_or = make_loopback_listener(&admin_port);
+    Expected<int> admin_or = make_loopback_listener(epfd, &admin_port);
     if (!admin_or.has_value()) {
-      ::close(epfd);
       ::close(listener);
+      ::close(epfd);
       return admin_or.error();
     }
     admin_listener = admin_or.value();
-    epoll_event aev{};
-    aev.events = EPOLLIN;
-    aev.data.fd = admin_listener;
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, admin_listener, &aev) != 0) {
-      const Error err = io_error("epoll_ctl add admin listener");
-      ::close(admin_listener);
-      ::close(epfd);
-      ::close(listener);
-      return err;
-    }
   }
 
   log << "serve: listening on 127.0.0.1:" << port << '\n' << std::flush;
@@ -370,8 +341,7 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
   bool shutdown = false;
 
   const auto close_conn = [&](Conn& c, const char* reason) {
-    ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
-    ::close(c.fd);
+    close_sock(epfd, c);
     by_fd.erase(c.fd);
     log << "serve: connection closed (" << reason << ")\n" << std::flush;
     if (std::strcmp(reason, "timeout") == 0) {
@@ -381,24 +351,25 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
       obs::count("serve.connection_errors");
     }
   };
+  const auto close_listeners = [&] {
+    ::close(epfd);
+    if (admin_listener >= 0) ::close(admin_listener);
+    ::close(listener);
+  };
 
   while (!shutdown) {
     // Wake at the earliest idle deadline (or block: an idle listener with
-    // no deadline waits exactly like the old blocking accept did).
+    // no deadline waits exactly like a blocking accept).
     int timeout = -1;
     if (opts.io_timeout_ms > 0 && (!conns.empty() || !admin_conns.empty())) {
-      const std::uint64_t now = steady_ms();
       std::uint64_t earliest = (std::numeric_limits<std::uint64_t>::max)();
       for (const auto& [id, c] : conns) {
-        earliest = std::min(
-            earliest,
-            c.last_activity + static_cast<std::uint64_t>(opts.io_timeout_ms));
+        earliest = std::min(earliest, idle_deadline(c, opts.io_timeout_ms));
       }
       for (const auto& [fd, a] : admin_conns) {
-        earliest = std::min(
-            earliest,
-            a.last_activity + static_cast<std::uint64_t>(opts.io_timeout_ms));
+        earliest = std::min(earliest, idle_deadline(a, opts.io_timeout_ms));
       }
+      const std::uint64_t now = steady_ms();
       timeout = earliest <= now
                     ? 0
                     : static_cast<int>(std::min<std::uint64_t>(
@@ -411,102 +382,59 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
     if (nev < 0) {
       if (errno == EINTR) continue;
       const Error err = io_error("epoll_wait");
-      for (auto& [id, c] : conns) {
-        ::close(c.fd);
-      }
-      for (auto& [fd, a] : admin_conns) {
-        ::close(fd);
-      }
-      ::close(epfd);
-      if (admin_listener >= 0) ::close(admin_listener);
-      ::close(listener);
+      for (auto& [id, c] : conns) ::close(c.fd);
+      for (auto& [fd, a] : admin_conns) ::close(fd);
+      close_listeners();
       return err;
     }
 
     for (int e = 0; e < nev; ++e) {
       const int fd = events[e].data.fd;
       if (fd == listener) {
-        for (;;) {
-          int cfd;
-          do {
-            cfd = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
-          } while (cfd < 0 && errno == EINTR);
-          if (cfd < 0) break;  // EAGAIN, or a transient accept error
-          if (conns.size() >= opts.max_connections) {
-            // Shedding at the front door keeps the event loop's state
-            // bounded; the client sees an immediate close.
-            log << "serve: connection rejected (capacity)\n" << std::flush;
-            obs::count("serve.connection_rejects");
-            ::close(cfd);
-            continue;
-          }
-          Conn c;
+        for (int cfd; (cfd = accept_one(epfd, listener, conns.size(),
+                                        opts.max_connections, "connection",
+                                        log)) >= 0;) {
+          Conn& c = conns.try_emplace(next_id, max_line).first->second;
           c.fd = cfd;
           c.id = next_id++;
           c.last_activity = steady_ms();
-          epoll_event cev{};
-          cev.events = EPOLLIN;
-          cev.data.fd = cfd;
-          if (::epoll_ctl(epfd, EPOLL_CTL_ADD, cfd, &cev) != 0) {
-            ::close(cfd);
-            continue;
-          }
           by_fd[cfd] = c.id;
-          conns.emplace(c.id, std::move(c));
           log << "serve: connection opened\n" << std::flush;
           obs::count("serve.connections");
         }
-        continue;
-      }
-      if (admin_listener >= 0 && fd == admin_listener) {
-        for (;;) {
-          int afd;
-          do {
-            afd = ::accept4(admin_listener, nullptr, nullptr, SOCK_NONBLOCK);
-          } while (afd < 0 && errno == EINTR);
-          if (afd < 0) break;
-          if (admin_conns.size() >= opts.max_admin_connections) {
-            log << "serve: admin connection rejected (capacity)\n"
-                << std::flush;
-            ::close(afd);
-            continue;
-          }
-          epoll_event aev{};
-          aev.events = EPOLLIN;
-          aev.data.fd = afd;
-          if (::epoll_ctl(epfd, EPOLL_CTL_ADD, afd, &aev) != 0) {
-            ::close(afd);
-            continue;
-          }
-          AdminConn a;
+      } else if (fd == admin_listener) {
+        for (int afd; (afd = accept_one(epfd, admin_listener,
+                                        admin_conns.size(),
+                                        kMaxAdminConnections,
+                                        "admin connection", log)) >= 0;) {
+          AdminConn& a = admin_conns[afd];
           a.fd = afd;
           a.last_activity = steady_ms();
-          admin_conns.emplace(afd, std::move(a));
         }
-        continue;
-      }
-      const auto ait = admin_conns.find(fd);
-      if (ait != admin_conns.end()) {
+      } else if (const auto ait = admin_conns.find(fd);
+                 ait != admin_conns.end()) {
+        // No fault hook: scraping never reaches the injector, and never
+        // handle_batch, so it cannot perturb data-plane bytes.
         AdminConn& a = ait->second;
-        if ((events[e].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 &&
-            !a.dead) {
-          admin_drain_reads(a, server);
-        }
-        if ((events[e].events & EPOLLOUT) != 0 && !a.dead) {
-          admin_drain_writes(a);
-        }
-        continue;
-      }
-      const auto idit = by_fd.find(fd);
-      if (idit == by_fd.end()) continue;  // already closed this wake
-      Conn& c = conns.at(idit->second);
-      if ((events[e].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 &&
-          !c.saw_eof && !c.dead) {
-        drain_reads(c, opts.faults, max_line);
-        if (c.saw_eof) flush_partial_at_eof(c);
-      }
-      if ((events[e].events & EPOLLOUT) != 0 && !c.dead) {
-        drain_writes(c, opts.faults);
+        on_event(a, events[e].events, nullptr, [&](std::string_view bytes) {
+          // Bytes after the head (the rest of an over-long request, extra
+          // headers) are read and dropped: closing a socket with unread
+          // input would RST the response out from under the client.
+          if (a.responded) return;
+          a.head.append(bytes);
+          const bool overflow = a.head.size() > kMaxAdminRequestBytes;
+          if (overflow || admin_request_complete(a.head)) {
+            a.outbuf = handle_admin_request(server, a.head, overflow);
+            a.responded = true;
+          }
+        });
+      } else if (const auto idit = by_fd.find(fd); idit != by_fd.end()) {
+        Conn& c = conns.at(idit->second);
+        on_event(c, events[e].events, opts.faults,
+                 [&c](std::string_view bytes) {
+                   c.framer.push(bytes, c.ready);
+                 });
+        if (c.saw_eof) c.framer.finish(c.ready);
       }
     }
 
@@ -548,75 +476,35 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
       shutdown = outcome.shutdown;
     }
 
-    // Push responses out and (re)arm EPOLLOUT only while bytes wait — a
-    // level-triggered EPOLLOUT on an idle socket would spin the loop.
-    for (auto& [id, c] : conns) {
-      if (!c.dead && !c.outbuf.empty()) drain_writes(c, opts.faults);
-      pop_drained_marks(c, server);
-      if (!c.dead && c.outbuf.size() - c.out_off > kMaxOutbufBytes) {
-        c.dead = true;
-        c.reason = "error";
-      }
-      const bool want = !c.dead && c.out_off < c.outbuf.size();
-      if (want != c.writable_armed) {
-        epoll_event cev{};
-        cev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-        cev.data.fd = c.fd;
-        ::epoll_ctl(epfd, EPOLL_CTL_MOD, c.fd, &cev);
-        c.writable_armed = want;
-      }
-    }
-
-    // Close what finished: errors immediately, EOF once everything the
-    // client sent is answered and written, idlers past the deadline.
+    // Push responses out, then close what finished: errors immediately,
+    // EOF once everything the client sent is answered and written (an
+    // admin connection once its one response is), idlers past the
+    // deadline.
     const std::uint64_t now = steady_ms();
     for (auto it = conns.begin(); it != conns.end();) {
       Conn& c = it->second;
-      const bool drained =
-          c.ready.empty() && c.acc.empty() && c.outbuf.empty();
-      if (c.dead) {
-        close_conn(c, c.reason);
-        it = conns.erase(it);
-      } else if (c.saw_eof && drained) {
-        close_conn(c, c.reason);  // "eof" or "injected-disconnect"
-        it = conns.erase(it);
-      } else if (opts.io_timeout_ms > 0 &&
-                 now >= c.last_activity +
-                            static_cast<std::uint64_t>(opts.io_timeout_ms)) {
-        close_conn(c, "timeout");
+      flush_and_arm(epfd, c, opts.faults);
+      pop_drained_marks(c, server);
+      const bool finished =
+          c.dead || (c.saw_eof && c.ready.empty() && c.outbuf.empty());
+      if (finished || now >= idle_deadline(c, opts.io_timeout_ms)) {
+        close_conn(c, finished ? c.reason : "timeout");
         it = conns.erase(it);
       } else {
         ++it;
       }
     }
-
-    // Admin connections: push the response, close once it is fully
-    // written (one request per connection), sweep idlers and errors.
     for (auto it = admin_conns.begin(); it != admin_conns.end();) {
       AdminConn& a = it->second;
-      if (!a.dead && a.responded && a.out_off < a.outbuf.size()) {
-        admin_drain_writes(a);
-      }
-      const bool done = a.responded && a.out_off >= a.outbuf.size();
-      const bool timed_out =
-          opts.io_timeout_ms > 0 &&
-          now >= a.last_activity +
-                     static_cast<std::uint64_t>(opts.io_timeout_ms);
-      if (a.dead || done || timed_out) {
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, a.fd, nullptr);
-        ::close(a.fd);
+      flush_and_arm(epfd, a, nullptr);
+      const bool finished =
+          a.dead || ((a.responded || a.saw_eof) && a.outbuf.empty());
+      if (finished || now >= idle_deadline(a, opts.io_timeout_ms)) {
+        close_sock(epfd, a);
         it = admin_conns.erase(it);
-        continue;
+      } else {
+        ++it;
       }
-      const bool want = a.responded && a.out_off < a.outbuf.size();
-      if (want != a.writable_armed) {
-        epoll_event aev{};
-        aev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-        aev.data.fd = a.fd;
-        ::epoll_ctl(epfd, EPOLL_CTL_MOD, a.fd, &aev);
-        a.writable_armed = want;
-      }
-      ++it;
     }
   }
 
@@ -625,8 +513,7 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
   // everything.
   for (auto& [id, c] : conns) {
     const std::uint64_t deadline = steady_ms() + 1000;
-    while (!c.dead && c.out_off < c.outbuf.size() &&
-           steady_ms() < deadline) {
+    while (!c.dead && !c.outbuf.empty() && steady_ms() < deadline) {
       pollfd pfd{};
       pfd.fd = c.fd;
       pfd.events = POLLOUT;
@@ -635,19 +522,13 @@ Expected<void> run_tcp_server(Server& server, std::uint16_t port,
         rc = ::poll(&pfd, 1, 100);
       } while (rc < 0 && errno == EINTR);
       if (rc <= 0) break;
-      drain_writes(c, opts.faults);
+      send_ready(c, opts.faults);
     }
     pop_drained_marks(c, server);
     close_conn(c, "shutdown");
   }
-  conns.clear();
-  for (auto& [fd, a] : admin_conns) {
-    ::close(fd);
-  }
-  admin_conns.clear();
-  ::close(epfd);
-  if (admin_listener >= 0) ::close(admin_listener);
-  ::close(listener);
+  for (auto& [fd, a] : admin_conns) close_sock(epfd, a);
+  close_listeners();
   log << "serve: shutdown\n" << std::flush;
   return {};
 }

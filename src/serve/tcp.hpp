@@ -12,13 +12,19 @@
 /// \file tcp.hpp (serve)
 /// Epoll-based POSIX TCP front-end for the prediction server: binds a
 /// listening socket on localhost and serves many concurrent connections
-/// from one event loop. Each connection gets bounded line reassembly (the
-/// same max_line_bytes discard-and-typed-error contract as `--stdio`
-/// mode), and every epoll wake drains the complete lines of *all* ready
-/// connections into a single Server::handle_batch window — cross-
-/// connection micro-batching: one batched predict_curves call serves the
-/// whole flush window, and responses are routed back to their connections
-/// afterwards.
+/// from one event loop. Every epoll wake drains the complete lines of
+/// *all* ready connections into a single Server::handle_batch window —
+/// cross-connection micro-batching: one batched predict_curves call
+/// serves the whole flush window, and responses are routed back to their
+/// connections afterwards.
+///
+/// One socket path: data connections and admin scrape connections (see
+/// admin.hpp) share one socket record and one helper per chore — accept
+/// up to a capacity bound, recv until EAGAIN, send drain, EPOLLOUT
+/// arming, the idle deadline. Only two things depend on the kind: what a
+/// request is (a line framed by the same LineFramer `--stdio` uses, or an
+/// HTTP head) and who answers it (the handle_batch window, or
+/// handle_admin_request). Admin connections run with no fault hook.
 ///
 /// Ordering contract: requests from one connection are answered on that
 /// connection, in the order they arrived, byte-identical to replaying the
@@ -69,10 +75,9 @@ struct TcpOptions {
   /// perturb data-plane response bytes. -1 (default) disables the plane.
   int admin_port = -1;
   /// Like `bound_port`, but for the admin listener (port 0 supported).
+  /// At most 8 admin connections are open at once; a scraper above that
+  /// is closed immediately ("admin connection rejected (capacity)").
   std::atomic<std::uint16_t>* admin_bound_port = nullptr;
-  /// Concurrent admin-connection bound; scrapers above it are closed
-  /// immediately. Deliberately small — this is a diagnostics plane.
-  std::size_t max_admin_connections = 8;
 };
 
 /// Listens on 127.0.0.1:`port` and serves connections until a client sends

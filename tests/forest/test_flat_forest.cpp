@@ -241,8 +241,8 @@ Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols,
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Every batched entry point against the per-row walk, bit for bit:
-/// predict_mean and predict_moments against predict_row_moments (one
-/// row's leaves summed in tree order), and the one-tree paths
+/// predict_mean against predict_row_moments (one row's leaves summed in
+/// tree order), and the one-tree paths
 /// predict_tree_rows (the out-of-bag row subset, here unsorted with a
 /// repeat) and accumulate_tree (GBM's contiguous path) against
 /// predict_tree_row.
@@ -250,14 +250,10 @@ void expect_bitwise_parity(const FlatForest& flat, const Matrix& x) {
   const auto trees = static_cast<double>(flat.num_trees());
   const auto mean = flat.predict_mean(x);
   ASSERT_EQ(mean.size(), x.rows());
-  std::vector<double> sum(x.rows()), sq(x.rows());
-  flat.predict_moments(x, sum, sq);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     double ref_sum = 0.0;
     double ref_sq = 0.0;
     flat.predict_row_moments(x.row(r), ref_sum, ref_sq);
-    ASSERT_EQ(bits(sum[r]), bits(ref_sum)) << "row " << r;
-    ASSERT_EQ(bits(sq[r]), bits(ref_sq)) << "row " << r;
     ASSERT_EQ(bits(mean[r]), bits(ref_sum / trees))
         << "row " << r << ": " << mean[r] << " != " << ref_sum / trees;
   }

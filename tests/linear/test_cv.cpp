@@ -97,27 +97,6 @@ TEST(LassoCv, DeterministicGivenRngState) {
   }
 }
 
-TEST(MultiTaskCv, SelectsLambdaAndFitsBothTasks) {
-  Rng data_rng(12);
-  Matrix x(200, 4);
-  Matrix y(200, 2);
-  for (std::size_t i = 0; i < 200; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) x(i, j) = data_rng.uniform(-1.0, 1.0);
-    y(i, 0) = 2.0 * x(i, 0) + data_rng.normal(0.0, 0.1);
-    y(i, 1) = -3.0 * x(i, 0) + data_rng.normal(0.0, 0.1);
-  }
-  Rng rng(13);
-  CvResult result;
-  const auto m = fit_multitask_lasso_cv(x, y, 5, rng, &result);
-  EXPECT_GT(result.best_lambda, 0.0);
-  const auto pred = m.predict(x.row(0));
-  EXPECT_NEAR(pred[0], y(0, 0), 0.35);
-  EXPECT_NEAR(pred[1], y(0, 1), 0.35);
-  const auto support = m.support();
-  ASSERT_FALSE(support.empty());
-  EXPECT_EQ(support[0], 0u);
-}
-
 class CvFoldSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CvFoldSweep, WorksForVariousFoldCounts) {

@@ -62,22 +62,6 @@ TEST(Cholesky, Substitutions) {
   EXPECT_NEAR(3.0 * x[1], y[1], 1e-12);
 }
 
-TEST(Cholesky, MultiRhsMatchesSingle) {
-  Rng rng(5);
-  const Matrix a = random_spd(4, rng);
-  Matrix b(4, 2);
-  for (std::size_t r = 0; r < 4; ++r) {
-    b(r, 0) = rng.uniform(-2.0, 2.0);
-    b(r, 1) = rng.uniform(-2.0, 2.0);
-  }
-  const Matrix x = cholesky_solve_multi(a, b);
-  for (std::size_t c = 0; c < 2; ++c) {
-    const auto col = b.column(c);
-    const auto single = cholesky_solve(a, col);
-    for (std::size_t r = 0; r < 4; ++r) EXPECT_NEAR(x(r, c), single[r], 1e-10);
-  }
-}
-
 class CholeskySweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CholeskySweep, FactorRoundTrips) {

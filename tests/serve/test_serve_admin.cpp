@@ -345,6 +345,41 @@ TEST(ServeAdmin, HealthIsByteStableUnderAnInjectedClock) {
   EXPECT_NE(a.find("\"responses\":{\"ok\":2}"), std::string::npos);
 }
 
+/// The admin plane holds at most eight connections: a ninth concurrent
+/// scraper is closed at once and logged, the eight it could not join
+/// are still answered, and the data plane on the same loop keeps serving.
+TEST(ServeAdmin, NinthConcurrentScraperIsRejectedAndDataStillServed) {
+  Listener listener;
+  std::vector<std::unique_ptr<Client>> scrapers;
+  for (int i = 0; i < 8; ++i) {
+    scrapers.push_back(std::make_unique<Client>(listener.admin_port()));
+    ASSERT_TRUE(scrapers.back()->connected());
+  }
+  // A data round trip: once it is answered, the loop has accepted every
+  // scraper that connected before it.
+  Client data(listener.port());
+  data.send(predict_line(0) + "\n");
+  EXPECT_NE(data.recv_line().find("\"ok\":true"), std::string::npos);
+
+  Client ninth(listener.admin_port());
+  ASSERT_TRUE(ninth.connected());
+  ninth.send("GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(ninth.recv_all(), "");  // closed without a response
+
+  for (auto& scraper : scrapers) {
+    scraper->send("GET /healthz HTTP/1.0\r\n\r\n");
+    EXPECT_NE(scraper->recv_all().find("HTTP/1.0 200 OK"), std::string::npos);
+  }
+  data.send(predict_line(1) + "\n");
+  EXPECT_NE(data.recv_line().find("\"ok\":true"), std::string::npos);
+  data.close();
+  listener.shutdown();
+  const std::string log = listener.log();
+  EXPECT_NE(log.find("serve: admin connection rejected (capacity)"),
+            std::string::npos)
+      << log;
+}
+
 /// The core tentpole invariant: a hammering scraper changes nothing about
 /// the data plane's bytes. Replay the same request stream with the admin
 /// plane idle and under concurrent scrape load; responses must be

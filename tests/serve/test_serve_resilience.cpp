@@ -60,8 +60,7 @@ TEST(ServeResilience, HandleLineAppliesTheSameBound) {
 }
 
 TEST(ServeResilience, AdmissionControlShedsAboveMaxPending) {
-  const auto server = default_server(
-      {.batch_max = 8, .max_pending = 2, .retry_after_ms = 75});
+  const auto server = default_server({.batch_max = 8, .max_pending = 2});
   std::string burst;
   for (std::size_t i = 0; i < 8; ++i) burst += predict_line(i) + "\n";
   const auto lines = run_lines(*server, burst);
@@ -77,7 +76,7 @@ TEST(ServeResilience, AdmissionControlShedsAboveMaxPending) {
     } else {
       EXPECT_NE(lines[i].find("\"code\":\"overloaded\""), std::string::npos)
           << lines[i];
-      EXPECT_NE(lines[i].find("\"retry_after_ms\":75"), std::string::npos)
+      EXPECT_NE(lines[i].find("\"retry_after_ms\":50"), std::string::npos)
           << lines[i];
     }
   }

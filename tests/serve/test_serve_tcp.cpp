@@ -16,8 +16,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/obs/jsonlite.hpp"
+#include "src/serve/line_framer.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/tcp.hpp"
 #include "tests/serve/serve_fixture.hpp"
@@ -70,6 +73,20 @@ class Client {
     }
   }
 
+  /// Reads until the server closes the connection.
+  std::string recv_all() {
+    std::string out;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return out;
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+  /// Half-close: the server sees EOF, and responses can still be read.
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
+
   /// Hard close: SO_LINGER(0) turns close() into an RST, the abortive
   /// disconnect a crashed client produces.
   void abort() {
@@ -94,8 +111,8 @@ class Client {
 /// One listener on a kernel-assigned port, torn down by a shutdown command.
 class Listener {
  public:
-  explicit Listener(TcpOptions opts = {}) {
-    server_ = fixture::default_server();
+  explicit Listener(TcpOptions opts = {}, ServeOptions serve_opts = {}) {
+    server_ = fixture::default_server(std::move(serve_opts));
     opts.bound_port = &port_;
     thread_ = std::thread([this, opts] {
       const auto result = run_tcp_server(*server_, 0, log_, opts);
@@ -230,6 +247,105 @@ TEST(ServeTcp, LifecycleLogNamesTheEndReason) {
   EXPECT_NE(log.find("connection opened"), std::string::npos);
   EXPECT_NE(log.find("connection closed (eof)"), std::string::npos) << log;
   EXPECT_NE(log.find("connection closed (shutdown)"), std::string::npos);
+}
+
+/// The framing stream shared by the framer and transport tests, for a
+/// bound of kBound bytes: empty and blank lines, a "\r\n" line, a line
+/// of exactly the bound (served) and one of the bound + 1 (too large), a
+/// control command, a long over-long line, and a predict. Each of the two
+/// tails ends the stream without a newline: a final line, or an over-long
+/// line cut off by EOF.
+constexpr std::size_t kBound = 200;
+
+std::string padded(std::string line, std::size_t width) {
+  line.resize(width, ' ');
+  return line;
+}
+
+std::string framing_body() {
+  return "\n" + predict_line(0) + "\r\n   \n" +
+         padded(predict_line(1), kBound) + "\n" +
+         padded(predict_line(2), kBound + 1) + "\n" +
+         "{\"id\":3,\"cmd\":\"ping\"}\n" + std::string(3 * kBound, 'x') +
+         "\n" + predict_line(4) + "\n";
+}
+
+std::string framing_tail(std::size_t tail) {
+  return tail == 0 ? predict_line(5) : std::string(2 * kBound, 'y');
+}
+
+std::vector<Server::BatchLine> expected_lines(std::size_t tail) {
+  std::vector<Server::BatchLine> out = {
+      {"", false},
+      {predict_line(0) + "\r", false},
+      {"   ", false},
+      {padded(predict_line(1), kBound), false},
+      {"", true},
+      {"{\"id\":3,\"cmd\":\"ping\"}", false},
+      {"", true},
+      {predict_line(4), false}};
+  out.push_back(tail == 0 ? Server::BatchLine{predict_line(5), false}
+                          : Server::BatchLine{"", true});
+  return out;
+}
+
+TEST(ServeTcp, LineFramerYieldsTheSameLinesForEveryChunking) {
+  for (std::size_t tail = 0; tail < 2; ++tail) {
+    const std::string stream = framing_body() + framing_tail(tail);
+    const auto want = expected_lines(tail);
+    for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+      LineFramer framer(kBound);
+      std::vector<Server::BatchLine> got;
+      for (std::size_t at = 0; at < stream.size(); at += chunk) {
+        framer.push(std::string_view(stream).substr(at, chunk), got);
+      }
+      framer.finish(got);
+      ASSERT_EQ(got.size(), want.size()) << "tail " << tail << " chunk "
+                                         << chunk;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].text, want[i].text)
+            << "tail " << tail << " chunk " << chunk << " line " << i;
+        EXPECT_EQ(got[i].too_long, want[i].too_long)
+            << "tail " << tail << " chunk " << chunk << " line " << i;
+      }
+    }
+  }
+}
+
+TEST(ServeTcp, FramedStreamGetsTheSameBytesOverStdioAndTcp) {
+  for (std::size_t tail = 0; tail < 2; ++tail) {
+    const std::string stream = framing_body() + framing_tail(tail);
+    std::istringstream in(stream);
+    std::ostringstream stdio;
+    (void)fixture::default_server({.max_line_bytes = kBound})->run(in, stdio);
+
+    Listener listener({}, {.max_line_bytes = kBound});
+    Client client(listener.port());
+    ASSERT_TRUE(client.connected());
+    client.send(stream);
+    client.finish_sending();
+    const std::string tcp = client.recv_all();
+    client.close();
+    listener.shutdown();
+    listener.join();
+
+    EXPECT_EQ(tcp, stdio.str()) << "tail " << tail;
+    // Seven answered lines (the empty and blank lines get none), of which
+    // the bound + 1 line, the long line and a cut-off tail are typed
+    // too-large errors.
+    std::size_t lines = 0;
+    std::size_t too_large = 0;
+    std::istringstream split(tcp);
+    for (std::string line; std::getline(split, line); ++lines) {
+      if (line.find("\"code\":\"too-large\"") != std::string::npos) {
+        ++too_large;
+      }
+      EXPECT_EQ(line.find("\"code\":\"bad-request\""), std::string::npos)
+          << line;
+    }
+    EXPECT_EQ(lines, 7u);
+    EXPECT_EQ(too_large, tail == 0 ? 2u : 3u);
+  }
 }
 
 }  // namespace

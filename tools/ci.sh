@@ -993,8 +993,30 @@ stage_cli() {
   [[ "${status}" -eq 1 ]] && grep -q 'bad-data' "${dir}/text-add.log" \
     || { echo "registry add of a text model exited ${status} without" \
          "a bad-data error" >&2; exit 1; }
+  # A store archive has no schema sidecar, so predict reads its query
+  # columns as p0..p{d-1}: the same rows predicted from the store copy of
+  # a model and from the saved file must give the same prediction columns.
+  publish_default "${dir}/model_t1.hpcp" "${dir}/store-p"
+  local d
+  d="$(head -n 1 "${dir}/model_t1.hpcp.schema.csv" | awk -F, '{print NF}')"
+  cut -d, -f1-"${d}" "${dir}/hist.csv" > "${dir}/q-named.csv"
+  { seq 0 $((d - 1)) | sed 's/^/p/' | paste -sd, -
+    tail -n +2 "${dir}/q-named.csv"; } > "${dir}/q-p.csv"
+  "${cli}" predict --model "${dir}/model_t1.hpcp" \
+    --queries "${dir}/q-named.csv" --out "${dir}/pred-named.csv" > /dev/null
+  "${cli}" predict --model "${dir}/store-p/default/1.hpcp" \
+    --queries "${dir}/q-p.csv" --out "${dir}/pred-store.csv" > /dev/null
+  cut -d, -f$((d + 1))- "${dir}/pred-named.csv" > "${dir}/pred-named.cols"
+  cut -d, -f$((d + 1))- "${dir}/pred-store.csv" > "${dir}/pred-store.cols"
+  if ! cmp -s "${dir}/pred-named.cols" "${dir}/pred-store.cols"; then
+    echo "predict from the store archive (p0.. queries) differs from" \
+         "predict --model on the saved file" >&2
+    cmp "${dir}/pred-named.cols" "${dir}/pred-store.cols" >&2 || true
+    exit 1
+  fi
   echo "cli-determinism ok (--threads 1 and --threads 8 models" \
-       "byte-identical, text-format models refused as bad-data)"
+       "byte-identical, text-format models refused as bad-data, store" \
+       "archive predicts the saved model's columns from p0.. queries)"
 }
 
 # Frozen-benchmark smoke: the serving benchmark (perfbench/, see

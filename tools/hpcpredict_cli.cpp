@@ -48,6 +48,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -226,8 +227,17 @@ int cmd_predict(const Args& args) {
     // (or a file in the retired text format) must come back as a clean
     // error message, not a crash.
     model = registry::load_model_any(args.get("model")).value_or_throw();
-    param_names =
-        csv_read_file(args.get("model") + ".schema.csv").header;
+    // `train --save` writes the parameter names beside the model. A store
+    // archive has no such sidecar; its parameters are p0..p{d-1}, the
+    // names the ingest log gives store models.
+    const std::string schema = args.get("model") + ".schema.csv";
+    if (std::filesystem::exists(schema)) {
+      param_names = csv_read_file(schema).header;
+    } else {
+      for (std::size_t d = 0; d < model.interpolation().num_features(); ++d) {
+        param_names.push_back("p" + std::to_string(d));
+      }
+    }
     std::cout << "loaded model " << args.get("model") << " ("
               << model.extrapolation().num_clusters() << " cluster(s))\n";
   } else {
@@ -552,6 +562,8 @@ void print_usage() {
       "  predict  (--model FILE.hpcp | --history FILE --targets P1,P2,...)\n"
       "           --queries FILE [--out FILE] [--uncertainty] [--seed S]\n"
       "           [--max-bins N] [--threads N]\n"
+      "           query columns: the names in FILE.hpcp.schema.csv, or\n"
+      "           p0,p1,... for a model without one (a store archive)\n"
       "  evaluate --app NAME [--configs N] [--test-configs N]\n"
       "           [--scales ...] [--targets ...] [--seed S]\n"
       "  validate --history FILE [--strict] [--out CLEAN_FILE]\n"
