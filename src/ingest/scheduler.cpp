@@ -144,13 +144,11 @@ Expected<ShadowOutcome> IngestScheduler::retrain_now(
   }
   auto fit = fit_candidate(entries, records, tenant, t.chain.get(),
                            opts_.retrain);
-  t.attempted = true;
   return finish_attempt(tenant, t, std::move(fit), records);
 }
 
 Expected<void> IngestScheduler::start_background(const std::string& tenant,
-                                                 TenantState& state,
-                                                 std::uint64_t now_ms) {
+                                                 TenantState& state) {
   auto snapshot = RunLog::read_file(state.log.path());
   if (!snapshot) return snapshot.error();
   auto entries = std::make_shared<const std::vector<LogEntry>>(
@@ -169,14 +167,12 @@ Expected<void> IngestScheduler::start_background(const std::string& tenant,
       });
   state.pending_records = records;
   state.stats.in_flight = true;
-  state.attempted = true;
-  state.last_attempt_ms = now_ms;
   state.runs_since_attempt = 0;
   obs::count("ingest.background_retrains");
   return {};
 }
 
-std::vector<std::string> IngestScheduler::pump(std::uint64_t now_ms) {
+std::vector<std::string> IngestScheduler::pump() {
   std::vector<std::string> promoted;
   for (auto& [tenant, state] : tenants_) {
     if (state.stats.in_flight &&
@@ -189,15 +185,9 @@ std::vector<std::string> IngestScheduler::pump(std::uint64_t now_ms) {
     }
     if (state.stats.in_flight) continue;
 
-    const bool threshold_due = opts_.retrain_records > 0 &&
-                               state.runs_since_attempt >=
-                                   opts_.retrain_records;
-    const bool interval_due =
-        opts_.retrain_interval_ms > 0 && state.runs_since_attempt > 0 &&
-        (!state.attempted ||
-         now_ms - state.last_attempt_ms >= opts_.retrain_interval_ms);
-    if (threshold_due || interval_due) {
-      (void)start_background(tenant, state, now_ms);
+    if (opts_.retrain_records > 0 &&
+        state.runs_since_attempt >= opts_.retrain_records) {
+      (void)start_background(tenant, state);
     }
   }
   return promoted;

@@ -25,10 +25,9 @@
 /// serving thread inside pump()/retrain_now(), so the predict path is
 /// never blocked and never races.
 ///
-/// Triggers: a record threshold (`retrain_records` run records since the
-/// last attempt) and a wall-clock interval (`retrain_interval_ms` with at
-/// least one new record). Both default to off — an explicit
-/// {"cmd":"retrain"} always works.
+/// Trigger: a record threshold (`retrain_records` run records since the
+/// last attempt). It defaults to off — an explicit {"cmd":"retrain"}
+/// always works.
 
 namespace hpcp::ingest {
 
@@ -37,9 +36,6 @@ struct SchedulerOptions {
   /// Run records since the last retrain attempt that trigger a background
   /// retrain; 0 disables the threshold trigger.
   std::size_t retrain_records = 0;
-  /// Milliseconds between background retrains of a tenant with new data;
-  /// 0 disables the interval trigger.
-  std::uint64_t retrain_interval_ms = 0;
 };
 
 /// Per-tenant counters surfaced through health/stats. All counters are
@@ -83,7 +79,7 @@ class IngestScheduler {
   /// The serving-loop pump: completes finished background fits (judging,
   /// publishing, reloading) and fires due triggers. Returns the tenants
   /// whose model was promoted (already reloaded in the pool).
-  std::vector<std::string> pump(std::uint64_t now_ms);
+  std::vector<std::string> pump();
 
   /// True when any tenant has a background fit in flight.
   [[nodiscard]] bool busy() const;
@@ -109,8 +105,6 @@ class IngestScheduler {
     RunLog log;
     TenantIngestStats stats;
     std::uint64_t runs_since_attempt = 0;
-    std::uint64_t last_attempt_ms = 0;
-    bool attempted = false;  ///< any attempt yet (anchors the interval)
     /// Warm-start chain: the last *log-derived* promoted candidate (never
     /// the externally seeded incumbent), shared with the in-flight task.
     std::shared_ptr<const TwoLevelModel> chain;
@@ -124,8 +118,7 @@ class IngestScheduler {
                                Expected<CandidateFit> fit,
                                std::size_t records);
   [[nodiscard]] Expected<void> start_background(const std::string& tenant,
-                                                TenantState& state,
-                                                std::uint64_t now_ms);
+                                                TenantState& state);
 
   registry::ModelPool& pool_;
   SchedulerOptions opts_;

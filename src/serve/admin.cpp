@@ -87,8 +87,8 @@ std::string handle_admin_request(Server& server, std::string_view inbuf,
   if (target == "/healthz") {
     std::string body = server.render_health_json();
     body += '\n';
-    // Degraded still serves cache hits, so it stays 200 for a plain
-    // liveness probe; only "no model at all" is a scrape-level failure.
+    // Only "no model store at all" is a scrape-level failure; a failing
+    // tenant degrades itself alone and the probe stays 200.
     const bool unavailable =
         body.find("\"status\":\"unavailable\"") != std::string::npos;
     return http_response(unavailable ? 503 : 200,

@@ -13,8 +13,8 @@
 /// Endpoints (all GET, one request per connection, Connection: close):
 ///   /metrics  Prometheus text exposition of the global MetricRegistry
 ///   /healthz  the health probe body ({"cmd":"health"} without an id);
-///             HTTP 200 while a model is serving (ok or degraded),
-///             503 when unavailable
+///             HTTP 200 while a store is attached ("ok"), 503 when
+///             "unavailable"
 ///   /statsz   the hpcp-stats/1 snapshot (Server::render_stats_json)
 /// Anything else is 404; non-GET methods are 405. The request head is
 /// bounded (kMaxAdminRequestBytes) — an over-long head gets 431 and the

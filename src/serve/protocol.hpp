@@ -52,7 +52,6 @@ inline constexpr const char* kProtocolSchema = "hpcp-serve/1";
 /// the request alone, so the byte-identity contract exempts them.
 inline constexpr const char* kErrTooLarge = "too-large";      ///< line > --max-line-bytes
 inline constexpr const char* kErrOverloaded = "overloaded";   ///< queue full, request shed
-inline constexpr const char* kErrDegraded = "degraded";       ///< cache-only mode, miss rejected
 inline constexpr const char* kErrDeadline = "deadline";       ///< request deadline expired
 
 /// The request named a tenant the model store does not know. Unlike the
@@ -113,7 +112,7 @@ struct ErrorInfo {
   std::string code;
   std::string message;
   /// Retry-After hint in milliseconds, rendered as "retry_after_ms" inside
-  /// the error object when non-zero (overloaded / degraded responses).
+  /// the error object when non-zero (overloaded responses).
   std::uint64_t retry_after_ms = 0;
 };
 

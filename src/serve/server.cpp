@@ -75,7 +75,6 @@ Expected<void> Server::attach_registry(const std::string& root) {
       std::make_unique<registry::ModelPool>(std::move(*reg), popts);
   ingest::SchedulerOptions iopts;
   iopts.retrain_records = opts_.retrain_records;
-  iopts.retrain_interval_ms = opts_.retrain_interval_ms;
   ingest_ = std::make_unique<ingest::IngestScheduler>(*model_pool_, iopts);
   return {};
 }
@@ -86,7 +85,7 @@ void Server::poll_reloads() {
   // Out-of-band like SIGHUP — no response lines, so replayed request
   // streams stay aligned with their responses.
   if (ingest_ != nullptr) {
-    for (const std::string& tenant : ingest_->pump(now_ms())) {
+    for (const std::string& tenant : ingest_->pump()) {
       (void)tenant;
       obs::count("serve.ingest_promotions");
     }
@@ -113,23 +112,13 @@ std::optional<Request> Server::enqueue(const std::string& line,
   if (pending.req.cmd != Request::Cmd::kPredict) {
     return std::move(pending.req);
   }
-  // Admission control: more admitted-but-unanswered requests than
+  // Admission control: more admitted requests in this batch than
   // max_pending means the client is pipelining faster than we drain;
   // shed the overflow *now* with a typed hint instead of queueing
   // without bound. Shed responses still occupy their slot in the
   // response order.
-  const std::size_t admitted = static_cast<std::size_t>(
-      std::count_if(batch->begin(), batch->end(),
-                    [](const Pending& p) { return p.admitted; }));
-  if (admitted >= opts_.max_pending) {
-    ++shed_streak_;
+  if (batch_admitted_ >= opts_.max_pending) {
     obs::count("serve.shed");
-    if (opts_.degraded_shed_streak > 0 && !degraded_saturated_ &&
-        shed_streak_ >= opts_.degraded_shed_streak) {
-      degraded_saturated_ = true;
-      obs::count("serve.degraded_entries");
-      obs::gauge_set("serve.degraded", 1.0);
-    }
     roll_sheds_.add(now_ms());
     pending.trace.code = kErrOverloaded;
     pending.response = render_error(
@@ -139,12 +128,7 @@ std::optional<Request> Server::enqueue(const std::string& line,
              std::to_string(opts_.max_pending) + "), request shed",
          kRetryAfterMs});
   } else {
-    shed_streak_ = 0;
-    if (degraded_saturated_) {
-      degraded_saturated_ = false;
-      obs::gauge_set("serve.degraded", 0.0);
-    }
-    pending.admitted = true;
+    ++batch_admitted_;
     pending.trace.id = ++next_request_id_;
     pending.trace.admit_us = steady_us();
     if (opts_.request_deadline_ms > 0) pending.arrival_ms = now_ms();
@@ -159,11 +143,8 @@ void Server::resolve(std::vector<Pending>* batch) {
   obs::count("serve.batches");
   obs::gauge_set("serve.batch_size", static_cast<double>(batch->size()));
   last_batch_lines_ = batch->size();
-  last_queue_depth_ = static_cast<std::size_t>(
-      std::count_if(batch->begin(), batch->end(),
-                    [](const Pending& p) { return p.admitted; }));
+  last_queue_depth_ = std::exchange(batch_admitted_, 0);
 
-  const bool cache_only = degraded();
   const std::uint64_t flush_now =
       opts_.request_deadline_ms > 0 ? now_ms() : 0;
   // One injectable-clock read per flush feeds every rolling-window update
@@ -266,17 +247,6 @@ void Server::resolve(std::vector<Pending>* batch) {
       obs::count("serve.cache_hit");
       roll_cache_hits_.add(roll_now);
       p.trace.cache_hit = true;
-    } else if (cache_only) {
-      // Degraded cache-only mode: hits above were served from the live
-      // cache; a miss would need the compute path we are protecting, so
-      // it gets a typed rejection with a retry hint.
-      obs::count("serve.degraded_rejects");
-      p.trace.code = kErrDegraded;
-      p.response = render_error(
-          p.req.id_json, slot.version,
-          {kErrDegraded,
-           "server is in degraded cache-only mode; prediction not cached",
-           kRetryAfterMs});
     } else {
       obs::count("serve.cache_miss");
       roll_cache_misses_.add(roll_now);
@@ -614,11 +584,9 @@ std::string Server::handle_control(const Request& req) {
 }
 
 const char* Server::status() const {
-  // "ok" serves everything, "degraded" serves cache hits only,
   // "unavailable" has no model store at all. An attached but empty store
   // is "ok": requests then fail per-tenant, not globally.
-  if (model_pool_ == nullptr) return "unavailable";
-  return degraded() ? "degraded" : "ok";
+  return model_pool_ == nullptr ? "unavailable" : "ok";
 }
 
 std::string Server::health_json(const std::string& id_json) const {
@@ -649,7 +617,7 @@ std::string Server::health_json(const std::string& id_json) const {
   append_code_counters(out);
   append_registry_block(out);
   append_ingest_block(out);
-  if (model_pool_ == nullptr || degraded()) {
+  if (model_pool_ == nullptr) {
     out += ",\"retry_after_ms\":";
     out += std::to_string(kRetryAfterMs);
   }
@@ -798,8 +766,6 @@ void Server::append_ingest_block(std::string& out) const {
   out += std::to_string(totals.in_flight);
   out += ",\"retrain_records\":";
   out += std::to_string(opts_.retrain_records);
-  out += ",\"retrain_interval_ms\":";
-  out += std::to_string(opts_.retrain_interval_ms);
   out += ",\"tenants\":{";
   bool first = true;
   for (const auto& [tenant, stats] : ingest_->stats()) {
@@ -913,8 +879,6 @@ std::string Server::render_stats_json() const {
   out += std::to_string(too_large_rejects());
   out += ",\"deadline_expired\":";
   out += std::to_string(deadline_rejects());
-  out += ",\"degraded_rejects\":";
-  out += std::to_string(responses_with(kErrDegraded));
   out += ",\"responses\":";
   append_code_counters(out);
   append_registry_block(out);

@@ -40,27 +40,21 @@
 /// distinct model, fans the per-row level-2 evaluation out over the
 /// worker pool, then renders responses serially in request order.
 ///
-/// Failure model (DESIGN.md "Failure model & degraded modes"):
+/// Failure model (DESIGN.md "Failure model (serving front door)"):
 ///   - Bounded lines: a line over `max_line_bytes` is discarded by the
 ///     framer and answered with a typed "too-large" error, never
 ///     buffered without limit.
-///   - Admission control: at most `max_pending` admitted-but-unanswered
-///     predict requests per batch; overflow is shed immediately with a
-///     typed "overloaded" error carrying a retry_after_ms hint (the
-///     constant kRetryAfterMs, 50 ms). Shedding
-///     is a pure function of the request stream and options, so it is as
-///     replayable as everything else.
+///   - Admission control: at most `max_pending` admitted predict requests
+///     per micro-batch; overflow is shed immediately with a typed
+///     "overloaded" error carrying a retry_after_ms hint (the constant
+///     kRetryAfterMs, 50 ms). A batch holds at most `batch_max` lines, so
+///     the bound only sheds when max_pending < batch_max (never at the
+///     defaults). Shedding is a pure function of the request stream and
+///     options, so it is as replayable as everything else.
 ///   - Deadlines: with `request_deadline_ms` set, a request still
 ///     unanswered when its deadline passes is answered with a typed
 ///     "deadline" error instead of stale data. The clock is injectable
 ///     (`clock_ms`) so deadline behaviour is testable without wall time.
-///   - Degraded cache-only mode: entered when admission stays saturated
-///     (`degraded_shed_streak` consecutive sheds). Admission is counted
-///     per batch and every batch admits its first predict, so the streak
-///     only builds inside one batch: the mode needs batch_max >=
-///     degraded_shed_streak + max_pending. While degraded, cache hits are
-///     served normally and misses get a typed "degraded" error; the first
-///     admitted request exits the mode.
 ///   - Per-tenant blast radius: a tenant whose archive fails to load
 ///     degrades only that tenant (typed error; the pool keeps any old
 ///     resident epoch serving, health reports its load_failures and
@@ -74,8 +68,8 @@
 /// inserts and residency loads happen serially in request order. An
 /// interleaved multi-tenant stream is byte-identical to serving each
 /// tenant from its own one-tenant store. Degraded responses (overloaded /
-/// degraded / deadline / too-large) depend on the resilience options and
-/// injected clock by design and are exempt.
+/// deadline / too-large) depend on the resilience options and injected
+/// clock by design and are exempt.
 ///
 /// Hot swap: publish a new version into the store, then {"cmd":"reload",
 /// "tenant":T} epoch-swaps that tenant (in-flight batches finish on the
@@ -86,8 +80,8 @@
 
 namespace hpcp::serve {
 
-/// Retry-After hint attached to overloaded/degraded responses and to a
-/// non-ok health probe.
+/// Retry-After hint attached to overloaded responses and to an
+/// unavailable health probe.
 inline constexpr std::uint64_t kRetryAfterMs = 50;
 
 struct ServeOptions {
@@ -106,28 +100,23 @@ struct ServeOptions {
   /// Hard bound on one request line; longer lines are discarded and
   /// answered with a typed "too-large" error (default 1 MiB).
   std::size_t max_line_bytes = 1 << 20;
-  /// Admission bound: max admitted-but-unanswered predict requests. A
-  /// request arriving above the bound is shed with "overloaded". The
-  /// effective in-flight bound is min(batch_max, max_pending) because a
-  /// flush drains the queue; the default never sheds in normal operation.
+  /// Admission bound: max admitted predict requests per micro-batch. A
+  /// request arriving above the bound is shed with "overloaded". A flush
+  /// drains the batch, so the bound only sheds when it is below
+  /// batch_max; the defaults never shed.
   std::size_t max_pending = 256;
   /// Per-request deadline in milliseconds; 0 disables (default). Checked
   /// at flush time against the injectable clock.
   std::uint64_t request_deadline_ms = 0;
-  /// Consecutive shed admissions that flip the server into degraded
-  /// cache-only mode (relieved as soon as an admission succeeds).
-  std::size_t degraded_shed_streak = 1024;
   /// Resident-model LRU caps forwarded to the ModelPool — count cap and
   /// byte budget (0 = unlimited bytes).
   std::size_t max_resident_models = 4;
   std::uint64_t max_resident_bytes = 0;
-  /// Continuous-learning triggers, forwarded to the IngestScheduler.
-  /// `retrain_records` run records since the last
-  /// attempt fire a background retrain; `retrain_interval_ms` retrains any
-  /// tenant with new data on a wall-clock cadence. Both default off —
-  /// {"cmd":"retrain"} always works regardless.
+  /// Continuous-learning trigger, forwarded to the IngestScheduler:
+  /// `retrain_records` run records since the last attempt fire a
+  /// background retrain. Default off — {"cmd":"retrain"} always works
+  /// regardless.
   std::size_t retrain_records = 0;
-  std::uint64_t retrain_interval_ms = 0;
   /// Monotonic millisecond clock; unset = std::chrono::steady_clock. The
   /// chaos harness injects a deterministic skipping clock here.
   std::function<std::uint64_t()> clock_ms = {};
@@ -216,8 +205,6 @@ class Server {
     return requests_served_;
   }
 
-  /// Currently in degraded cache-only mode (admission saturation)?
-  [[nodiscard]] bool degraded() const noexcept { return degraded_saturated_; }
   /// Requests shed by admission control since start.
   [[nodiscard]] std::uint64_t sheds() const {
     return responses_with(kErrOverloaded);
@@ -285,7 +272,6 @@ class Server {
   struct Pending {
     Request req;
     std::string response;  ///< pre-rendered (parse error, shed) when non-empty
-    bool admitted = false;  ///< occupies an admission slot
     std::uint64_t arrival_ms = 0;  ///< set when deadlines are enabled
     obs::Stopwatch watch;  ///< started when the line was read
     RequestTrace trace;    ///< id != 0 once admitted; code set when rendered
@@ -310,7 +296,7 @@ class Server {
   /// Ping / health / reload / stats / trace-dump / shutdown responses.
   [[nodiscard]] std::string handle_control(const Request& req);
 
-  /// "ok", "degraded" or "unavailable" (no store attached yet).
+  /// "ok", or "unavailable" before a store is attached.
   [[nodiscard]] const char* status() const;
 
   /// Health body shared by the control path and GET /healthz; `id_json`
@@ -332,8 +318,8 @@ class Server {
   /// rendered response line passes through here exactly once.
   void note_response(const std::string& code);
 
-  /// Responses rendered with `code` since start. Every shed, too-large,
-  /// deadline and degraded line is noted when its batch resolves, before
+  /// Responses rendered with `code` since start. Every shed, too-large
+  /// and deadline line is noted when its batch resolves, before
   /// any control command or scrape can read it, so this is the one count
   /// behind the health/stats counters and the accessors above.
   [[nodiscard]] std::uint64_t responses_with(const char* code) const;
@@ -346,7 +332,7 @@ class Server {
   ThreadPool* pool_ = nullptr;            ///< nullptr = global pool
   PredictionCache cache_;
   /// The resident-model LRU (serving-thread confined, like the
-  /// resilience state). nullptr until attach_registry succeeds.
+  /// admission state). nullptr until attach_registry succeeds.
   std::unique_ptr<registry::ModelPool> model_pool_;
   /// The continuous-learning loop (append / retrain / shadow-gated
   /// promote). Pumped once per window alongside the SIGHUP flag.
@@ -354,9 +340,9 @@ class Server {
 
   std::uint64_t requests_served_ = 0;
 
-  // Resilience state (all touched only from the serving thread).
-  std::uint64_t shed_streak_ = 0;
-  bool degraded_saturated_ = false;
+  /// Admitted predicts in the micro-batch being gathered (the admission
+  /// count enqueue checks against max_pending; resolve resets it).
+  std::size_t batch_admitted_ = 0;
 
   // Observability state (all touched only from the serving thread; the
   // admin plane shares that thread by construction — see tcp.hpp).

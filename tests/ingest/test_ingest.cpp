@@ -429,13 +429,11 @@ TEST(IngestScheduler, ThresholdTriggerRetrainsInBackgroundViaPump) {
 
   // The first due pump starts (at most) one background fit; later pumps
   // complete it. The serving loop never blocks on the fit itself.
-  std::uint64_t now = 1000;
-  std::vector<std::string> promoted = scheduler.pump(now);
+  std::vector<std::string> promoted = scheduler.pump();
   EXPECT_TRUE(promoted.empty());
   EXPECT_LE(scheduler.totals().in_flight, 1u);
   for (int i = 0; i < 4000 && promoted.empty(); ++i) {
-    now += 10;
-    promoted = scheduler.pump(now);
+    promoted = scheduler.pump();
     if (promoted.empty() && scheduler.busy()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

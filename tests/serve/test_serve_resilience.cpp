@@ -1,5 +1,5 @@
 /// Resilience-layer Server tests: the bounded line reader, admission
-/// control and shedding, degraded cache-only mode, the health probe,
+/// control and shedding, the health probe,
 /// request deadlines against an injected clock, and a torn archive
 /// failing a tenant reload while the old epoch keeps serving.
 
@@ -81,41 +81,33 @@ TEST(ServeResilience, AdmissionControlShedsAboveMaxPending) {
     }
   }
   EXPECT_EQ(server->sheds(), 6u);
-  EXPECT_FALSE(server->degraded());  // default shed streak is far higher
+  // The batch's admitted count is its queue depth at the flush.
+  EXPECT_NE(server->render_stats_json().find("\"queue_depth\":2,"),
+            std::string::npos);
 }
 
-TEST(ServeResilience, SustainedSaturationEntersAndExitsDegradedMode) {
-  const auto server = default_server({.batch_max = 16,
-                                      .max_pending = 1,
-                                      .degraded_shed_streak = 4});
-  // Prime the cache while healthy.
-  const std::string cached = server->handle_line(predict_line(0));
-  ASSERT_NE(cached.find("\"ok\":true"), std::string::npos);
-  std::string burst;
-  for (std::size_t i = 0; i < 8; ++i) burst += predict_line(i) + "\n";
-  auto lines = run_lines(*server, burst);
-  EXPECT_TRUE(server->degraded());
-  EXPECT_EQ(server->sheds(), 7u);
-  // Cache-only mode: the burst's one admitted request is a cache hit and
-  // is still served, byte-identically.
-  ASSERT_EQ(lines.size(), 8u);
-  EXPECT_EQ(lines[0], cached);
-  // A miss admitted while saturated gets the typed rejection instead.
-  burst.clear();
-  for (std::size_t i = 1; i < 9; ++i) burst += predict_line(i) + "\n";
-  lines = run_lines(*server, burst);
-  ASSERT_EQ(lines.size(), 8u);
-  EXPECT_NE(lines[0].find("\"code\":\"degraded\""), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[0].find("\"retry_after_ms\""), std::string::npos);
-  // One successfully admitted request relieves the saturation signal.
-  (void)server->handle_line(predict_line(0));
-  EXPECT_FALSE(server->degraded());
+TEST(ServeResilience, DefaultOptionsServeEveryPredictOfAThreeBatchWindow) {
+  // max_pending (256) is above batch_max (32), and a flush drains the
+  // batch, so the default admission bound never sheds.
+  const auto server = default_server();
+  const std::size_t batch_max = ServeOptions{}.batch_max;
+  std::vector<Server::BatchLine> window;
+  for (std::size_t i = 0; i < 3 * batch_max; ++i) {
+    window.push_back({predict_line(i), false});
+  }
+  const Server::BatchOutcome outcome = server->handle_batch(window);
+  ASSERT_EQ(outcome.responses.size(), window.size());
+  for (const std::string& response : outcome.responses) {
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  EXPECT_EQ(server->sheds(), 0u);
+  const std::string health = server->handle_line(R"({"cmd":"health"})");
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
+  EXPECT_EQ(health.find("\"retry_after_ms\""), std::string::npos) << health;
 }
 
 TEST(ServeResilience, HealthProbeReportsModeAndCounters) {
-  const auto server =
-      default_server({.max_pending = 1, .degraded_shed_streak = 2});
+  const auto server = default_server({.max_pending = 1});
   const std::string healthy = server->handle_line(R"({"id":"h","cmd":"health"})");
   EXPECT_NE(healthy.find("\"id\":\"h\""), std::string::npos);
   EXPECT_NE(healthy.find("\"status\":\"ok\""), std::string::npos) << healthy;
@@ -125,20 +117,22 @@ TEST(ServeResilience, HealthProbeReportsModeAndCounters) {
   EXPECT_EQ(healthy.find("\"retry_after_ms\""), std::string::npos)
       << "healthy probes carry no retry hint";
 
-  // A burst of three against max_pending=1 sheds two: saturation.
+  // A burst of three against max_pending=1 sheds two; shedding is a
+  // per-request answer, not a server mode, so the probe stays "ok".
   std::string burst;
   for (std::size_t i = 0; i < 3; ++i) burst += predict_line(i) + "\n";
   (void)run_lines(*server, burst);
-  const std::string degraded = server->handle_line(R"({"cmd":"health"})");
-  EXPECT_NE(degraded.find("\"status\":\"degraded\""), std::string::npos)
-      << degraded;
-  EXPECT_NE(degraded.find("\"shed\":2"), std::string::npos);
-  EXPECT_NE(degraded.find("\"retry_after_ms\""), std::string::npos);
+  const std::string shed = server->handle_line(R"({"cmd":"health"})");
+  EXPECT_NE(shed.find("\"status\":\"ok\""), std::string::npos) << shed;
+  EXPECT_NE(shed.find("\"shed\":2"), std::string::npos) << shed;
+  EXPECT_EQ(shed.find("\"retry_after_ms\""), std::string::npos) << shed;
 
   Server empty;  // no store attached
   const std::string unavailable = empty.handle_line(R"({"cmd":"health"})");
   EXPECT_NE(unavailable.find("\"status\":\"unavailable\""),
             std::string::npos)
+      << unavailable;
+  EXPECT_NE(unavailable.find("\"retry_after_ms\":50"), std::string::npos)
       << unavailable;
 }
 

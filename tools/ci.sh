@@ -8,7 +8,8 @@
 # Usage: tools/ci.sh [--skip-sanitizers] [--only STAGE]
 #                    [--build-dir-prefix PREFIX] [--artifact-dir DIR]
 #   STAGE  one of: release bench obs trace serve registry scrape chaos
-#          ingest cli perfbench asan
+#          ingest cli perfbench asan (bench … cli first build the
+#          release tree, without running its tests)
 #   PREFIX build tree prefix, default "build-ci-" (trees land at
 #          <repo>/<prefix><name>; keep it matching .gitignore's build-*/)
 #   DIR    where bench/trace/metrics JSONs are written, default
@@ -102,8 +103,23 @@ run_matrix_entry() {
   ctest --test-dir "${dir}" --output-on-failure -j"${jobs}" -LE unit
 }
 
+release_flags=(-DCMAKE_BUILD_TYPE=Release -DHPCP_WERROR=ON)
+
 stage_release() {
-  run_matrix_entry release -DCMAKE_BUILD_TYPE=Release -DHPCP_WERROR=ON
+  run_matrix_entry release "${release_flags[@]}"
+}
+
+# The stages between release and perfbench run binaries from the release
+# tree. Run alone (--only), they first build it — configuring only when
+# the tree is absent, running no test tiers — so they test the checkout,
+# not whatever an earlier build left there.
+build_release_tree() {
+  if [[ ! -f "${release_dir}/CMakeCache.txt" ]]; then
+    echo "=== [release] configure ==="
+    cmake -B "${release_dir}" -S "${repo_root}" "${release_flags[@]}"
+  fi
+  echo "=== [release] build ==="
+  cmake --build "${release_dir}" -j"${jobs}"
 }
 
 stage_asan() {
@@ -1072,8 +1088,10 @@ run_stage() {
 
 if [[ -n "${only_stage}" ]]; then
   case "${only_stage}" in
-    release|bench|obs|trace|serve|registry|scrape|chaos|ingest|cli|\
-    perfbench|asan)
+    release|perfbench|asan)
+      run_stage "${only_stage}" ;;
+    bench|obs|trace|serve|registry|scrape|chaos|ingest|cli)
+      build_release_tree
       run_stage "${only_stage}" ;;
     *) echo "unknown stage: ${only_stage} (expected release|bench|obs|" \
             "trace|serve|registry|scrape|chaos|ingest|cli|perfbench|asan)" >&2

@@ -74,8 +74,7 @@ inline FlagSpec spec_for(const std::string& command) {
     add({"registry", "max-resident", "resident-bytes", "port",
          "admin-port", "threads", "batch-max", "cache-entries",
          "cache-shards", "max-line-bytes", "max-pending", "deadline-ms",
-         "io-timeout-ms", "max-conns", "seq-log", "retrain-records",
-         "retrain-interval-ms"});
+         "io-timeout-ms", "max-conns", "seq-log", "retrain-records"});
     spec.bool_flags = {"stdio"};
   } else if (command == "ingest") {
     add({"registry", "tenant", "history", "rebuild", "threads"});

@@ -426,7 +426,6 @@ int cmd_serve(const Args& args) {
   opts.max_resident_models = args.get_size("max-resident", 4);
   opts.max_resident_bytes = args.get_size("resident-bytes", 0);
   opts.retrain_records = args.get_size("retrain-records", 0);
-  opts.retrain_interval_ms = args.get_size("retrain-interval-ms", 0);
   if (args.has("port") && args.has("stdio")) {
     throw cli::UsageError("--port and --stdio are mutually exclusive");
   }
@@ -575,7 +574,7 @@ void print_usage() {
       "           [--io-timeout-ms N (default 30000; 0 = no deadline)]\n"
       "           [--max-conns N] [--seq-log FILE]\n"
       "           [--admin-port N (HTTP /metrics /healthz /statsz)]\n"
-      "           [--retrain-records N] [--retrain-interval-ms N]\n"
+      "           [--retrain-records N]\n"
       "           (env HPCP_SERVE_FAULTS=chaos spec)\n"
       "  ingest   --registry DIR [--tenant NAME] (--history FILE |\n"
       "           --retrain | --rebuild OUT [--threads N])\n"
